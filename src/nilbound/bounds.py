@@ -27,6 +27,7 @@ from nilbound.liealg import (
     LieAlgebra,
     NotNilpotentError,
     admissible_p0_set,
+    center,
     default_filtration,
     validate_filtration,
 )
@@ -351,8 +352,6 @@ def lower_bound_report(alg: LieAlgebra, filtration: Filtration | None = None) ->
     p = filtration.p
     thm = None
     if p >= 2:
-        from nilbound.liealg import center
-
         thm = f"{theorem_mainbound(p, alg.dim, center(alg).dim):.6f}"
     return {
         "algebra": alg.name,

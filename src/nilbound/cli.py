@@ -64,8 +64,19 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse_file(path: str, what: str, parse):
+    """parse(data) on the JSON in path; a malformed file gives an InputError."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise InputError(f"malformed {what} file {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what} file {path}: {exc}") from exc
+
+
 def _load_algebra(path: str):
-    alg = algebra_from_json(_load_json(path))
+    alg = _parse_file(path, "algebra", algebra_from_json)
     report = validate(alg)
     if not report.ok:
         raise InputError("invalid algebra: " + "; ".join(report.violations))
@@ -128,11 +139,13 @@ def cmd_solve(args) -> int:
 
 
 def _parse_filtration(alg, path: str):
-    data = _load_json(path)
-    chain_data = data["chain"] if isinstance(data, dict) else data
-    chain = [span([[rat(x) for x in row] for row in sub], alg.dim) for sub in chain_data]
-    p0 = data.get("p0", len(chain)) if isinstance(data, dict) else len(chain)
-    filt = make_filtration(alg, chain, p0)
+    def parse(data):
+        chain_data = data["chain"] if isinstance(data, dict) else data
+        chain = [span([[rat(x) for x in row] for row in sub], alg.dim) for sub in chain_data]
+        p0 = data.get("p0", len(chain)) if isinstance(data, dict) else len(chain)
+        return make_filtration(alg, chain, p0)
+
+    filt = _parse_file(path, "filtration", parse)
     report = validate_filtration(filt)
     if not report.ok:
         raise InputError("invalid filtration: " + "; ".join(report.violations))
@@ -168,7 +181,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    rep = representation_from_json(_load_json(args.representation))
+    rep = _parse_file(args.representation, "representation", representation_from_json)
     val_alg = validate(rep.algebra)
     if not val_alg.ok:
         raise InputError("invalid algebra: " + "; ".join(val_alg.violations))

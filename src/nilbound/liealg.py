@@ -1,7 +1,10 @@
 """Lie algebras from structure constants: series, center, filtrations, representations.
 
 Structure constants are stored sparsely for i < j only; antisymmetry is
-implicit. Everything is exact-rational and immutable.
+implicit. Each algebra derives from them, once, a sparse adjoint table
+(`LieAlgebra.ad`) that brackets, the Jacobi check, the center and the
+representation check all read, and it keeps its lower central series and
+center once computed. Everything is exact-rational and immutable.
 """
 
 from __future__ import annotations
@@ -18,16 +21,13 @@ from nilbound.linalg import (
     Subspace,
     Vector,
     contains,
-    intersect,
     kernel_basis,
     rat,
     rat_str,
     rref_with_transform,
     span,
-    std_basis_vec,
     subspace_sum,
     vec,
-    zero_vec,
 )
 
 
@@ -37,7 +37,8 @@ class NotNilpotentError(ValueError):
 
 # brackets: {(i, j): ((k, coeff), ...)} with 0-based i < j, meaning
 # [x_i, x_j] = sum_k coeff * x_k
-BracketTable = Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+Terms = tuple[tuple[int, Fraction], ...]
+BracketTable = Mapping[tuple[int, int], Terms]
 
 
 @dataclass(frozen=True)
@@ -54,43 +55,69 @@ class LieAlgebra:
         clean = {}
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < dim):
-                raise ValueError(f"bracket indices ({i}, {j}) out of range or not i < j")
+                raise ValueError(f"0-based bracket indices ({i}, {j}) out of range or not i < j")
             terms = tuple((k, rat(c)) for k, c in terms if rat(c) != 0)
             for k, _ in terms:
                 if not 0 <= k < dim:
-                    raise ValueError(f"bracket target index {k} out of range")
+                    raise ValueError(f"0-based bracket target index {k} out of range")
             if terms:
                 clean[(i, j)] = terms
         return LieAlgebra(name, dim, tuple(basis_names), frozenset(clean.items()))
 
     @cached_property
-    def table(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+    def table(self) -> dict[tuple[int, int], Terms]:
         return dict(self.brackets)
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[x_i, x_j] as a coordinate vector."""
-        out = [Q(0)] * self.dim
-        if i == j:
-            return tuple(out)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for k, c in self.table.get((i, j), ()):
-            out[k] += sign * c
-        return tuple(out)
+    @cached_property
+    def ad(self) -> tuple[dict[int, Terms], ...]:
+        """ad[i][j] are the terms of [x_i, x_j]; both orders are stored, the swapped one negated."""
+        ad: list[dict[int, Terms]] = [{} for _ in range(self.dim)]
+        for (i, j), terms in self.table.items():
+            ad[i][j] = terms
+            ad[j][i] = tuple((k, -c) for k, c in terms)
+        return tuple(ad)
+
+    @cached_property
+    def _series(self) -> tuple[tuple[Subspace, ...], bool]:
+        """The lower central series and whether it ends in zero (see lower_central_series)."""
+        full = Subspace.full(self.dim)
+        series = [full]
+        while True:
+            nxt = bracket_subspaces(self, full, series[-1])
+            if nxt.dim == 0 or nxt == series[-1]:
+                return tuple(series), nxt.dim == 0
+            series.append(nxt)
+
+    @cached_property
+    def _center(self) -> Subspace:
+        """See center. Row (j, k), the k-th coordinate of [x, e_j] as a linear
+        form in x, is built only where the adjoint table makes it nonzero."""
+        rows: dict[tuple[int, int], list[Fraction]] = {}
+        for i, row in enumerate(self.ad):
+            for j, terms in row.items():
+                for k, c in terms:
+                    rows.setdefault((j, k), [Q(0)] * self.dim)[i] += c
+        nonzero = [rows[key] for key in sorted(rows) if any(rows[key])]
+        return kernel_basis(Matrix.from_rows(nonzero)) if nonzero else Subspace.full(self.dim)
 
 
 def bracket(alg: LieAlgebra, u: Sequence, v: Sequence) -> Vector:
     """Bilinear antisymmetric product of coordinate vectors."""
-    u, v = vec(u), vec(v)
     if len(u) != alg.dim or len(v) != alg.dim:
         raise DimensionMismatch("coordinate length differs from algebra dimension")
     out = [Q(0)] * alg.dim
-    for (i, j), terms in alg.table.items():
-        coeff = u[i] * v[j] - u[j] * v[i]
-        if coeff != 0:
-            for k, c in terms:
-                out[k] += coeff * c
+    v_nonzero = [(j, rat(b)) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        row = alg.ad[i]
+        a = rat(a)
+        for j, b in v_nonzero:
+            terms = row.get(j)
+            if terms:
+                ab = a * b
+                for k, c in terms:
+                    out[k] += ab * c
     return tuple(out)
 
 
@@ -106,29 +133,24 @@ class ValidationReport:
 def validate(alg: LieAlgebra) -> ValidationReport:
     """Check the Jacobi identity on all basis triples; never raises."""
     report = ValidationReport()
-    ei = [std_basis_vec(alg.dim, i) for i in range(alg.dim)]
+    ad = alg.ad
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             for k in range(j + 1, alg.dim):
-                total = [Q(0)] * alg.dim
+                total: dict[int, Fraction] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = bracket(alg, ei[b], ei[c])
-                    term = bracket(alg, ei[a], inner)
-                    total = [x + y for x, y in zip(total, term)]
-                if any(x != 0 for x in total):
+                    # [x_a, [x_b, x_c]] composed from the sparse terms
+                    for l, inner in ad[b].get(c, ()):
+                        for m, outer in ad[a].get(l, ()):
+                            total[m] = total.get(m, 0) + inner * outer
+                if any(x != 0 for x in total.values()):
                     report.violations.append(f"Jacobi fails at triple ({i + 1}, {j + 1}, {k + 1})")
     return report
 
 
-def ad_matrix(alg: LieAlgebra, x: Sequence) -> Matrix:
-    """Matrix of ad_x = [x, .] in the algebra basis."""
-    x = vec(x)
-    cols = [bracket(alg, x, std_basis_vec(alg.dim, j)) for j in range(alg.dim)]
-    return Matrix.from_rows([[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)])
-
-
 def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    prods = [bracket(alg, u, v) for u in a.basis for v in b.basis]
+    # zero products change no span, so they are dropped before the elimination
+    prods = [w for u in a.basis for v in b.basis if any(w := bracket(alg, u, v))]
     return span(prods, alg.dim) if prods else Subspace.zero(alg.dim)
 
 
@@ -137,30 +159,18 @@ def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
 
     For a non-nilpotent algebra the series stabilizes at a nonzero term,
     which is returned as the last entry (is_nilpotent distinguishes the two).
+    Computed once per algebra; each call returns a fresh list.
     """
-    full = Subspace.full(alg.dim)
-    series = [full]
-    while True:
-        nxt = bracket_subspaces(alg, full, series[-1])
-        if nxt.dim == 0 or nxt == series[-1]:
-            return series
-        series.append(nxt)
+    return list(alg._series[0])
 
 
 def is_nilpotent(alg: LieAlgebra) -> bool:
-    series = lower_central_series(alg)
-    return bracket_subspaces(alg, Subspace.full(alg.dim), series[-1]).dim == 0
+    return alg._series[1]
 
 
 def center(alg: LieAlgebra) -> Subspace:
-    """Kernel of the stacked adjoint map x -> ([x, e_1], ..., [x, e_n])."""
-    pair = {(i, j): alg.bracket_basis(i, j) for j in range(alg.dim) for i in range(alg.dim)}
-    rows = []
-    for j in range(alg.dim):
-        # row block: k-th row is the k-th coordinate of [x, e_j] as a linear form in x
-        for k in range(alg.dim):
-            rows.append([pair[(i, j)][k] for i in range(alg.dim)])
-    return kernel_basis(Matrix.from_rows(rows))
+    """Kernel of the stacked adjoint map x -> ([x, e_1], ..., [x, e_n]); computed once per algebra."""
+    return alg._center
 
 
 @dataclass(frozen=True)
@@ -240,11 +250,14 @@ class Representation:
     matrices: tuple[Matrix, ...]
 
     def rho(self, x: Sequence) -> Matrix:
-        x = vec(x)
+        return self._combine(enumerate(vec(x)))
+
+    def _combine(self, terms) -> Matrix:
+        """The sum of coeff * rho(x_k) over the (k, coeff) terms."""
         out = Matrix.zeros(self.dimV, self.dimV)
-        for c, m in zip(x, self.matrices):
+        for k, c in terms:
             if c != 0:
-                out = out + m.scale(c)
+                out = out + self.matrices[k].scale(c)
         return out
 
 
@@ -258,7 +271,7 @@ def validate_representation(rep: Representation, require_nil: bool = True) -> Va
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             lhs = rep.matrices[i].commutator(rep.matrices[j])
-            rhs = rep.rho(alg.bracket_basis(i, j))
+            rhs = rep._combine(alg.ad[i].get(j, ()))
             if lhs != rhs:
                 report.violations.append(f"homomorphism fails on basis pair ({i + 1}, {j + 1})")
     if require_nil:
@@ -326,7 +339,13 @@ def algebra_to_json(alg: LieAlgebra) -> dict:
     return {"name": alg.name, "dim": alg.dim, "basis": list(alg.basis_names), "brackets": entries}
 
 
+def _require_object(data, what: str) -> None:
+    if not isinstance(data, dict):
+        raise TypeError(f"{what} must be a JSON object, not {type(data).__name__}")
+
+
 def algebra_from_json(data: dict) -> LieAlgebra:
+    _require_object(data, "an algebra")
     dim = int(data["dim"])
     brackets = {}
     for entry in data.get("brackets", []):
@@ -344,6 +363,7 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data: dict) -> Representation:
+    _require_object(data, "a representation")
     alg = algebra_from_json(data["algebra"])
     dim_v = int(data["dimV"])
     mats = tuple(Matrix.from_rows(m) for m in data["matrices"])

@@ -22,7 +22,10 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         raise TypeError("refusing to coerce a float to an exact rational")
     return Fraction(x)

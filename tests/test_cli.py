@@ -114,6 +114,30 @@ class TestBound:
         assert out1 == out2
 
 
+HEIS_ALGEBRA = {"name": "h", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"]]}]}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("bound", {"name": "h", "brackets": HEIS_ALGEBRA["brackets"]}),
+        ("bound", [HEIS_ALGEBRA]),
+        ("bound", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1/0"]]}]}),
+        ("bound", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 4, "terms": [[3, "1"]]}]}),
+        ("decompose", HEIS_ALGEBRA),
+    ],
+    ids=["missing-dim", "top-level-list", "zero-denominator", "index-out-of-range", "algebra-to-decompose"],
+)
+def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, command, str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestAnalyze:
     def test_heisenberg_summary(self, heis_files, capsys):
         alg_path, _ = heis_files

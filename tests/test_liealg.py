@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_upper_triangular_subalgebra
 from nilbound.families import make_abelian, make_heisenberg, make_nabc, make_nap
 from nilbound.liealg import (
     LieAlgebra,
     NotNilpotentError,
     Representation,
     admissible_p0_set,
+    algebra_from_matrix_basis,
     algebra_from_json,
     algebra_to_json,
     bracket,
@@ -25,7 +27,7 @@ from nilbound.liealg import (
     validate_filtration,
     validate_representation,
 )
-from nilbound.linalg import Matrix, Subspace, span, std_basis_vec, vec
+from nilbound.linalg import Matrix, Q, Subspace, kernel_basis, span, std_basis_vec, vec
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,27 @@ def heis():
 def broken_jacobi_algebra() -> LieAlgebra:
     # [x,y] = x and [y,z] = y break the Jacobi sum on the triple (1,2,3)
     return LieAlgebra.create("broken", 3, {(0, 1): ((0, 1),), (1, 2): ((1, 1),)})
+
+
+def dense_rational_algebra(seed: int) -> tuple[LieAlgebra, Representation]:
+    """A random matrix algebra in the basis y_i = x_i + sum_{j > i} t_ij x_j with rational t_ij.
+
+    The unitriangular change of basis makes the structure constants dense and
+    non-integral, unlike the matrix-unit bases of the families.
+    """
+    _, rep = random_upper_triangular_subalgebra(seed)
+    mats = rep.matrices
+    rebased = []
+    for i, m in enumerate(mats):
+        for j in range(i + 1, len(mats)):
+            m = m + mats[j].scale(Q(j - i, 2 * j + 3) * (-1) ** j)
+        rebased.append(m)
+    return algebra_from_matrix_basis(f"dense_{seed}", rebased)
+
+
+@pytest.fixture(scope="module")
+def dense():
+    return dense_rational_algebra(0)
 
 
 class TestValidate:
@@ -51,6 +74,31 @@ class TestValidate:
     def test_abelian_valid(self):
         alg, _ = make_abelian(3)
         assert validate(alg).ok
+
+    def test_dense_rational_algebra_valid(self, dense):
+        alg, rep = dense
+        assert validate(alg).ok
+        assert validate_representation(rep).ok
+        swapped = rep.matrices[1:2] + rep.matrices[:1] + rep.matrices[2:]
+        assert not validate_representation(Representation(alg, rep.dimV, swapped)).ok
+
+    def test_violations_listed_in_triple_order(self):
+        alg = LieAlgebra.create("broken5", 5, {
+            (0, 1): ((2, 1),),
+            (0, 2): ((0, Fraction(1, 2)), (3, 1)),
+            (1, 2): ((1, 1), (4, -2)),
+            (1, 3): ((4, 3),),
+            (2, 3): ((0, 1),),
+            (0, 4): ((3, Fraction(-2, 3)),),
+        })
+        assert validate(alg).violations == [
+            "Jacobi fails at triple (1, 2, 3)",
+            "Jacobi fails at triple (1, 2, 4)",
+            "Jacobi fails at triple (1, 2, 5)",
+            "Jacobi fails at triple (1, 3, 5)",
+            "Jacobi fails at triple (2, 3, 4)",
+            "Jacobi fails at triple (3, 4, 5)",
+        ]
 
 
 class TestBracket:
@@ -73,6 +121,13 @@ class TestBracket:
         alg, _ = heis
         with pytest.raises(ValueError):
             bracket(alg, vec([1, 0]), vec([0, 1, 0]))
+
+    def test_adjoint_table_is_antisymmetric(self, dense):
+        alg, _ = dense
+        for (i, j), terms in alg.table.items():
+            assert alg.ad[i][j] == terms
+            assert alg.ad[j][i] == tuple((k, -c) for k, c in terms)
+        assert sum(len(row) for row in alg.ad) == 2 * len(alg.table)
 
 
 class TestSeriesAndCenter:
@@ -101,6 +156,22 @@ class TestSeriesAndCenter:
     def test_abelian_center_is_everything(self):
         alg, _ = make_abelian(5)
         assert center(alg) == Subspace.full(5)
+
+    def test_center_is_kernel_of_stacked_adjoint(self, dense):
+        alg, _ = dense
+        n = alg.dim
+        basis = [std_basis_vec(n, i) for i in range(n)]
+        brackets = [[bracket(alg, basis[i], basis[j]) for j in range(n)] for i in range(n)]
+        rows = [[brackets[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+        assert center(alg) == kernel_basis(Matrix.from_rows(rows))
+
+    def test_series_list_is_fresh(self, heis):
+        alg, _ = heis
+        first = lower_central_series(alg)
+        expected = list(first)
+        first.append(Subspace.zero(3))
+        first[0] = Subspace.zero(3)
+        assert lower_central_series(alg) == expected
 
     def test_nilpotency_detection(self, heis):
         alg, _ = heis
@@ -224,3 +295,20 @@ def test_bracket_bilinearity_and_jacobi(u, v, w):
         bracket(alg, wv, bracket(alg, uv, vv)),
     ]
     assert all(sum(t[i] for t in jac) == 0 for i in range(3))
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_bracket_matches_structure_constant_definition(dense, data):
+    alg, _ = dense
+    u = data.draw(st.lists(rationals, min_size=alg.dim, max_size=alg.dim))
+    v = data.draw(st.lists(rationals, min_size=alg.dim, max_size=alg.dim))
+    # sum over i < j of (u_i v_j - u_j v_i) c_ij^k, straight from the table
+    expected = [Q(0)] * alg.dim
+    for (i, j), terms in alg.table.items():
+        for k, c in terms:
+            expected[k] += (u[i] * v[j] - u[j] * v[i]) * c
+    assert bracket(alg, u, v) == tuple(expected)
