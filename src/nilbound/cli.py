@@ -192,7 +192,7 @@ def cmd_decompose(args) -> int:
         dec = decompose(rep, filt, seed=args.seed)
     except (ValueError, SamplingBudgetExhausted) as exc:
         raise InputError(str(exc)) from exc
-    report = verify_decomposition(dec, dec.chain, filt.p0)
+    report = verify_decomposition(dec)
     out = decomposition_to_json(dec, report)
     if report.ok:
         ab = build_adapted_basis(dec, filt.p0)

@@ -28,11 +28,11 @@ from nilbound.linalg import (
     complement_extending,
     contains,
     intersect,
+    invert,
     kernel_basis,
+    rat_str,
     span,
-    std_basis_vec,
     subspace_sum,
-    vec,
 )
 from nilbound.liealg import Filtration, Representation, is_faithful, validate_representation
 
@@ -67,27 +67,24 @@ class OperatorChain:
 
     def operators(self, k: int) -> list[Matrix]:
         """Basis of level k (1-based) as matrices."""
-        n = self.space_dim
-        return [Matrix.unflatten(row, n, n) for row in self.levels[k - 1].basis]
+        return _operators(self.levels[k - 1], self.space_dim)
+
+
+def _operators(sub: Subspace, n: int) -> list[Matrix]:
+    """The basis of a subspace of End(V) as n x n matrices."""
+    return [Matrix.unflatten(row, n, n) for row in sub.basis]
 
 
 def chain_from_representation(rep: Representation, filt: Filtration) -> OperatorChain:
     """The image chain rho(n_p) <= ... <= rho(n_1) inside End(V)."""
     amb = rep.dimV ** 2
-    levels = []
-    for sub in filt.chain:
-        flats = [rep.rho(x).flatten() for x in sub.basis]
-        levels.append(span(flats, amb) if flats else Subspace.zero(amb))
-    return OperatorChain(rep.dimV, tuple(levels))
+    levels = tuple(span([rep.rho(x).flatten() for x in sub.basis], amb) for sub in filt.chain)
+    return OperatorChain(rep.dimV, levels)
 
 
-def _image_dims(levels: tuple[Subspace, ...], n: int, v: Vector) -> tuple[int, ...]:
-    """dim(T_k . v) for each level."""
-    dims = []
-    for lvl in levels:
-        images = [Matrix.unflatten(row, n, n).apply(v) for row in lvl.basis]
-        dims.append(span(images, n).dim if images else 0)
-    return tuple(dims)
+def _image_dims(level_ops: list[list[Matrix]], n: int, v: Vector) -> tuple[int, ...]:
+    """dim(T_k . v) for each level, given as its basis operators."""
+    return tuple(span([op.apply(v) for op in ops], n).dim for ops in level_ops)
 
 
 def find_rank_vector(
@@ -104,18 +101,19 @@ def find_rank_vector(
     if rng is None:
         rng = random.Random(seed)
     n = chain.space_dim
+    level_ops = [chain.operators(k) for k in range(1, chain.p + 1)]
     bound = 16
     for _ in range(64):
         batch = [
             tuple(Q(rng.randint(-bound, bound)) for _ in range(n)) for _ in range(8)
         ]
-        tuples = [_image_dims(chain.levels, n, v) for v in batch]
+        tuples = [_image_dims(level_ops, n, v) for v in batch]
         best = tuple(max(t[k] for t in tuples) for k in range(chain.p))
         winner = next((v for v, t in zip(batch, tuples) if t == best), None)
         if winner is not None:
             extras = [tuple(Q(rng.randint(-bound, bound)) for _ in range(n)) for _ in range(2)]
             if all(
-                all(d <= b for d, b in zip(_image_dims(chain.levels, n, e), best))
+                all(d <= b for d, b in zip(_image_dims(level_ops, n, e), best))
                 for e in extras
             ):
                 return winner, best
@@ -149,16 +147,10 @@ def _annihilator(level: Subspace, n: int, v: Vector) -> Subspace:
     """{T in level : T(v) = 0} as a subspace of End(V)."""
     if level.dim == 0:
         return level
-    cols = [Matrix.unflatten(row, n, n).apply(v) for row in level.basis]
+    ops = _operators(level, n)
+    cols = [op.apply(v) for op in ops]
     coeff_kernel = kernel_basis(Matrix.from_rows([[c[i] for c in cols] for i in range(n)]))
-    combos = []
-    for coeffs in coeff_kernel.basis:
-        flat = [Q(0)] * (n * n)
-        for c, row in zip(coeffs, level.basis):
-            if c != 0:
-                flat = [x + c * y for x, y in zip(flat, row)]
-        combos.append(flat)
-    return span(combos, n * n) if combos else Subspace.zero(n * n)
+    return span([Matrix.combination(zip(cs, ops), n, n).flatten() for cs in coeff_kernel.basis], n * n)
 
 
 def decompose(rep: Representation, filt: Filtration, seed: int = 0) -> Decomposition:
@@ -220,9 +212,10 @@ class VerificationReport:
         return not self.failures
 
 
-def verify_decomposition(dec: Decomposition, chain: OperatorChain, p0: int) -> VerificationReport:
+def verify_decomposition(dec: Decomposition) -> VerificationReport:
     """Certify every structural claim about the partition, vectors and grid exactly."""
     report = VerificationReport()
+    chain, p0 = dec.chain, dec.p0
     n = chain.space_dim
     amb = n * n
     p = chain.p
@@ -252,22 +245,17 @@ def verify_decomposition(dec: Decomposition, chain: OperatorChain, p0: int) -> V
     for k in range(1, p + 1):
         for j in range(1, s[k - 1] + 1):
             piece = dec.grid[(k, j)]
-            ops = [Matrix.unflatten(row, n, n) for row in piece.basis]
-            vj = dec.vectors[j - 1]
-            img = span([op.apply(vj) for op in ops], n) if ops else Subspace.zero(n)
-            if img.dim != piece.dim:
+            ops = _operators(piece, n)
+            if span([op.apply(dec.vectors[j - 1]) for op in ops], n).dim != piece.dim:
                 report.failures.append(f"dim T_({k},{j}).v_{j} != dim T_({k},{j})")
+            if j == 1:
+                continue
+            whole = span([col for op in ops for col in zip(*op.entries)], n)  # T_(k,j).V
             for i in range(1, j):
                 vi = dec.vectors[i - 1]
-                if any(any(x != 0 for x in op.apply(vi)) for op in ops):
+                if any(any(op.apply(vi)) for op in ops):
                     report.failures.append(f"T_({k},{j}).v_{i} != 0 for i = {i} < j = {j}")
-                target = span(
-                    [op.apply(vi) for op in (Matrix.unflatten(r, n, n) for r in dec.grid[(k, i)].basis)],
-                    n,
-                ) if dec.grid[(k, i)].dim else Subspace.zero(n)
-                whole = span(
-                    [op.apply(std_basis_vec(n, c)) for op in ops for c in range(n)], n
-                ) if ops else Subspace.zero(n)
+                target = span([op.apply(vi) for op in _operators(dec.grid[(k, i)], n)], n)
                 if not contains(target, whole):
                     report.failures.append(f"T_({k},{j}).V is not inside T_({k},{i}).v_{i}")
 
@@ -278,8 +266,7 @@ def verify_decomposition(dec: Decomposition, chain: OperatorChain, p0: int) -> V
         a.commutator(b).is_zero() for a in t1_ops for b in tp0_ops
     ):
         report.moreover_checked = True
-        t11_ops = [Matrix.unflatten(r, n, n) for r in dec.grid[(1, 1)].basis]
-        img = span([op.apply(dec.vectors[0]) for op in t11_ops], n)
+        img = span([op.apply(dec.vectors[0]) for op in _operators(dec.grid[(1, 1)], n)], n)
         v0 = span(dec.vectors[: s[p0 - 1]], n)
         if intersect(img, v0).dim != 0:
             report.failures.append("T_(1,1).v_1 meets span{v_1..v_{s_p0}} nontrivially")
@@ -355,8 +342,6 @@ def _blocks(m: Matrix, sizes: tuple[int, int, int]) -> dict[tuple[int, int], lis
 
 def verify_block_structure(ab: AdaptedBasis, dec: Decomposition, p0: int) -> BlockReport:
     """Check the block patterns of every grid operator in the adapted basis."""
-    from nilbound.linalg import invert
-
     report = BlockReport()
     n = dec.space_dim
     p = dec.p
@@ -432,8 +417,6 @@ def extract_profile(dec: Decomposition, dim_v: int) -> tuple[int, ...]:
 
 
 def decomposition_to_json(dec: Decomposition, report: VerificationReport | None = None) -> dict:
-    from nilbound.linalg import rat_str
-
     out = {
         "space_dim": dec.space_dim,
         "partition": list(dec.partition),

@@ -254,11 +254,7 @@ class Representation:
 
     def _combine(self, terms) -> Matrix:
         """The sum of coeff * rho(x_k) over the (k, coeff) terms."""
-        out = Matrix.zeros(self.dimV, self.dimV)
-        for k, c in terms:
-            if c != 0:
-                out = out + self.matrices[k].scale(c)
-        return out
+        return Matrix.combination(((c, self.matrices[k]) for k, c in terms), self.dimV, self.dimV)
 
 
 def validate_representation(rep: Representation, require_nil: bool = True) -> ValidationReport:

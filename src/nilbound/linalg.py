@@ -1,8 +1,12 @@
 """Exact rational matrices and canonical (reduced row-echelon) subspaces.
 
-All scalars are `fractions.Fraction`; nothing in here ever touches floating
-point, so rank, kernel and inclusion tests are exact and deterministic.
-Subspaces are kept in RREF so equality and containment are syntactic.
+Every value that crosses this module's boundary is a `fractions.Fraction`.
+Inside, a block of rows is scaled once to integers over one common
+denominator, and elimination and matrix products run on Python integers;
+each output entry becomes a `Fraction` once, at the end. Nothing in here
+touches floating point, so rank, kernel and inclusion tests are exact and
+deterministic. Subspaces are kept in RREF so equality and containment are
+syntactic.
 """
 
 from __future__ import annotations
@@ -10,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Q = Fraction
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Q(0)
 
 
 def rat(x) -> Fraction:
@@ -40,31 +47,89 @@ def rat_str(q: Fraction) -> str:
 
 
 def vec(xs: Iterable) -> Vector:
-    return tuple(rat(x) for x in xs)
-
-
-def zero_vec(n: int) -> Vector:
-    return (Q(0),) * n
+    return tuple(map(rat, xs))
 
 
 def std_basis_vec(n: int, i: int) -> Vector:
     return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def is_zero_vec(u: Vector) -> bool:
-    return all(a == 0 for a in u)
-
-
 class DimensionMismatch(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# integer kernel: rows of ints, or of (column, int) pairs for the nonzero entries
+
+def _clear_denominators(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer rows N and one common denominator d with rows == N / d (entries int or Fraction)."""
+    rows = [list(r) for r in rows]
+    d = math.lcm(*{x.denominator for r in rows for x in r})
+    if d == 1:
+        return [[x.numerator for x in r] for r in rows], 1
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a zero row is returned as it is)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _fraction_row(row: Sequence[int], d: int) -> Vector:
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+
+
+def _rref_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan; the one elimination routine of the module.
+
+    Returns the nonzero rows of the reduced row-echelon form, each as a
+    primitive integer row (the RREF row times its pivot entry), and their
+    0-based pivot columns. Rows are cleared of denominators once; every
+    elimination step cross-multiplies by a/g and f/g and divides the result
+    by its content, so the entries stay small.
+    """
+    work = [_primitive(r) for r in _clear_denominators(rows)[0] if any(r)]
+    pivots: list[int] = []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        a = prow[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(a, f)
+                ag, fg = a // g, f // g
+                work[i] = _primitive([ag * x - fg * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    return work[: len(pivots)], pivots
+
+
+def _unit_rows(rows: list[list[int]], pivots: list[int]) -> tuple[Vector, ...]:
+    """RREF rows as Fractions: each primitive row over its pivot entry."""
+    return tuple(_fraction_row(r, r[c]) for r, c in zip(rows, pivots))
+
+
+def _sparse_rows(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
+    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+def _int_matmul(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]], cols: int) -> list[list[int]]:
+    """Dense integer product of two sparse integer matrices; b has `cols` columns."""
+    out = []
+    for arow in a:
+        acc = [0] * cols
+        for k, x in arow:
+            for j, y in b[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -81,6 +146,12 @@ class Matrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
+    @cached_property
+    def _sparse(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """Nonzero (column, integer) entries of each row and the common denominator d."""
+        ints, d = _clear_denominators(self.entries)
+        return _sparse_rows(ints), d
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
         data = tuple(vec(r) for r in rows)
@@ -90,7 +161,7 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple(zero_vec(cols) for _ in range(rows)))
+        return Matrix(((_ZERO,) * cols,) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -99,59 +170,65 @@ class Matrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.col(j) for j in range(self.cols)))
+    @staticmethod
+    def combination(terms: Iterable[tuple[Fraction, "Matrix"]], rows: int, cols: int) -> "Matrix":
+        """The sum of c * M over the (c, M) terms, every M of shape rows x cols."""
+        terms = [(rat(c), m) for c, m in terms if c]
+        if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
+            raise DimensionMismatch("matrix shapes differ")
+        den = math.lcm(*(c.denominator * m._sparse[1] for c, m in terms))
+        acc = [[0] * cols for _ in range(rows)]
+        for c, m in terms:
+            f = c.numerator * (den // (c.denominator * m._sparse[1]))
+            for arow, srow in zip(acc, m._sparse[0]):
+                for j, x in srow:
+                    arow[j] += f * x
+        return Matrix(tuple(_fraction_row(r, den) for r in acc))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix(tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
+        return Matrix.combination(((1, self), (1, other)), self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(Q(-1))
+        return Matrix.combination(((1, self), (-1, other)), self.rows, self.cols)
 
     def scale(self, c: Fraction) -> "Matrix":
-        return Matrix(tuple(vec_scale(c, r) for r in self.entries))
+        return Matrix.combination(((c, self),), self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        ot = other.transpose()
-        return Matrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(r, c)) for c in ot.entries)
-                for r in self.entries
-            )
-        )
+        (a, da), (b, db) = self._sparse, other._sparse
+        return Matrix(tuple(_fraction_row(r, da * db) for r in _int_matmul(a, b, other.cols)))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise DimensionMismatch("vector length differs from column count")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
+        (iv,), dv = _clear_denominators([v])
+        rows, d = self._sparse
+        return _fraction_row([sum(x * iv[j] for j, x in r) for r in rows], d * dv)
 
     def commutator(self, other: "Matrix") -> "Matrix":
-        return self @ other - other @ self
+        if not self.rows == self.cols == other.rows == other.cols:
+            raise DimensionMismatch("commutator needs square matrices of one size")
+        (a, da), (b, db) = self._sparse, other._sparse
+        xy, yx = _int_matmul(a, b, self.cols), _int_matmul(b, a, self.cols)
+        return Matrix(tuple(_fraction_row([p - q for p, q in zip(r, s)], da * db) for r, s in zip(xy, yx)))
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.entries)
+        return not any(map(any, self.entries))
 
     def is_nilpotent(self) -> bool:
-        """Check M^n = 0 for an n x n matrix."""
+        """Check M^n = 0 for an n x n matrix (on the integer numerators: scaling keeps zero powers)."""
         if self.rows != self.cols:
             return False
-        power = self
+        base = self._sparse[0]
+        power = base
         for _ in range(self.rows - 1):
-            if power.is_zero():
+            if not any(power):
                 return True
-            power = power @ self
-        return power.is_zero()
+            power = _sparse_rows(_int_matmul(power, base, self.cols))
+        return not any(power)
 
     def flatten(self) -> Vector:
         """Row-major flattening, the coordinates of this matrix inside End(V)."""
@@ -164,85 +241,30 @@ class Matrix:
         return Matrix(tuple(tuple(v[i * cols + j] for j in range(cols)) for i in range(rows)))
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (reduced rows, 0-based pivot columns)."""
-    if not rows:
-        return rows, []
-    n_cols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row-echelon form.
 
     Returns (R, rank, pivot_columns); pivot columns are 1-based.
     """
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows)
-    return Matrix.from_rows(rows), len(pivots), [c + 1 for c in pivots]
+    rows, pivots = _rref_rows(m.entries)
+    zero_rows = ((_ZERO,) * m.cols,) * (m.rows - len(pivots))
+    return Matrix(_unit_rows(rows, pivots) + zero_rows), len(pivots), [c + 1 for c in pivots]
 
 
 def rref_with_transform(m: Matrix) -> tuple[Matrix, Matrix, int, list[int]]:
-    """RREF together with an invertible T such that T @ m = R. Pivots 0-based."""
-    n = m.rows
-    aug = [list(r) + [Q(1) if i == j else Q(0) for j in range(n)] for i, r in enumerate(m.entries)]
-    if not aug:
+    """RREF together with an invertible T such that T @ m = R. Pivots 0-based.
+
+    R and T are the two halves of the RREF of [m | I], which has a pivot in
+    every row; the pivots in the left half are those of m.
+    """
+    n, cols = m.rows, m.cols
+    if not n:
         return m, Matrix(()), 0, []
-    # eliminate using only the first m.cols columns
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    red = Matrix.from_rows([row[: m.cols] for row in aug])
-    trans = Matrix.from_rows([row[m.cols :] for row in aug])
-    return red, trans, len(pivots), pivots
-
-
-def solve(m: Matrix, rhs: Vector) -> Vector | None:
-    """One exact solution x of m @ x = rhs, or None if inconsistent."""
-    if len(rhs) != m.rows:
-        raise DimensionMismatch("rhs length differs from row count")
-    rows = [list(r) + [b] for r, b in zip(m.entries, rhs)]
-    rows, pivots = _rref_rows(rows)
-    x = [Q(0)] * m.cols
-    for i, c in enumerate(pivots):
-        if c == m.cols:
-            return None
-        x[c] = rows[i][m.cols]
-    for i in range(len(pivots), len(rows)):
-        if rows[i][m.cols] != 0:
-            return None
-    return tuple(x)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.entries)]
+    rows, all_pivots = _rref_rows(aug)
+    pivots = [c for c in all_pivots if c < cols]
+    red = _unit_rows(rows, all_pivots)
+    return Matrix(tuple(r[:cols] for r in red)), Matrix(tuple(r[cols:] for r in red)), len(pivots), pivots
 
 
 def invert(m: Matrix) -> Matrix:
@@ -277,33 +299,31 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, tuple(std_basis_vec(ambient_dim, i) for i in range(ambient_dim)))
 
-    @property
+    @cached_property
     def pivot_columns(self) -> tuple[int, ...]:
         """0-based pivot column of each basis row."""
         return tuple(next(j for j, x in enumerate(r) if x != 0) for r in self.basis)
 
+    @cached_property
+    def _int_basis(self) -> list[list[int]]:
+        """The basis rows as primitive integer rows."""
+        return [_primitive(r) for r in _clear_denominators(self.basis)[0]]
+
     def contains_vector(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        residual = list(v)
-        for row, piv in zip(self.basis, self.pivot_columns):
-            if residual[piv] != 0:
-                f = residual[piv]
-                residual = [x - f * y for x, y in zip(residual, row)]
-        return all(x == 0 for x in residual)
+        residual = _clear_denominators([v])[0][0]
+        for row, piv in zip(self._int_basis, self.pivot_columns):
+            f = residual[piv]
+            if f:
+                g = math.gcd(row[piv], f)
+                ag, fg = row[piv] // g, f // g
+                residual = _primitive([ag * x - fg * y for x, y in zip(residual, row)])
+        return not any(residual)
 
-    def coordinates(self, v: Vector) -> Vector | None:
-        """Coordinates of v in this basis (RREF rows have unit pivots), or None."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        coeffs = tuple(v[piv] for piv in self.pivot_columns)
-        residual = list(v)
-        for c, row in zip(coeffs, self.basis):
-            if c != 0:
-                residual = [x - c * y for x, y in zip(residual, row)]
-        if any(x != 0 for x in residual):
-            return None
-        return coeffs
+
+def _canonical(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, _unit_rows(*_rref_rows(rows)))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspace:
@@ -315,9 +335,7 @@ def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspac
         ambient_dim = len(rows[0])
     if any(len(r) != ambient_dim for r in rows):
         raise DimensionMismatch("ambient dimensions differ")
-    reduced, _ = _rref_rows([list(r) for r in rows])
-    basis = tuple(tuple(r) for r in reduced if any(x != 0 for x in r))
-    return Subspace(ambient_dim, basis)
+    return _canonical(rows, ambient_dim)
 
 
 def contains(outer: Subspace, inner: Subspace) -> bool:
@@ -334,33 +352,35 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """A cap B via the Zassenhaus block trick."""
+    """A cap B via the Zassenhaus block trick.
+
+    The RREF rows of [[A, A], [B, 0]] with their pivot in the right half
+    are, restricted to it, already the RREF basis of the intersection.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     n = a.ambient_dim
-    block = [list(v) + list(v) for v in a.basis] + [list(v) + [Q(0)] * n for v in b.basis]
-    if not block:
-        return Subspace.zero(n)
-    reduced, _ = _rref_rows(block)
-    inter_rows = [r[n:] for r in reduced if all(x == 0 for x in r[:n]) and any(x != 0 for x in r[n:])]
-    return span(inter_rows, n)
+    block = [v + v for v in a.basis] + [v + (_ZERO,) * n for v in b.basis]
+    rows, pivots = _rref_rows(block)
+    return Subspace(n, tuple(_fraction_row(r[n:], r[c]) for r, c in zip(rows, pivots) if c >= n))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """The exact null space {x : m @ x = 0} as a canonical subspace."""
     if m.rows == 0 or m.cols == 0:
         return Subspace.full(m.cols)
-    reduced, rank, pivots1 = rref(m)
-    pivots = [p - 1 for p in pivots1]
-    free = [c for c in range(m.cols) if c not in pivots]
+    rows, pivots = _rref_rows(m.entries)
+    # x_f = 1 on a free column f gives x_p = -R[i][f] = -rows[i][f] / rows[i][p] on pivot
+    # column p of row i; scaling by the lcm of the pivot entries keeps this integral
+    lead = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
     basis = []
-    for f in free:
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i, f]
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        v = [0] * m.cols
+        v[f] = lead
+        for r, c in zip(rows, pivots):
+            v[c] = -r[f] * (lead // r[c])
         basis.append(v)
-    return span(basis, m.cols) if basis else Subspace.zero(m.cols)
+    return _canonical(basis, m.cols)
 
 
 def complement_extending(ambient: Subspace, inner: Subspace, must_contain: Subspace) -> Subspace:

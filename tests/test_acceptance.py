@@ -219,7 +219,7 @@ def test_criterion_8_decomposition_suite(decomposition_grid):
     t0 = time.time()
     failures = []
     for name, rep, filt, dec, _ in decomposition_grid:
-        ver = verify_decomposition(dec, dec.chain, filt.p0)
+        ver = verify_decomposition(dec)
         if not ver.ok:
             failures.append((name, "decomposition", ver.failures[:2]))
             continue

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nilbound.bounds as bounds
 from nilbound.cli import main
-from nilbound.families import make_heisenberg
+from nilbound.families import make_family, make_heisenberg
 from nilbound.liealg import algebra_from_json, algebra_to_json, representation_to_json
 
 
@@ -136,6 +141,85 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data)
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+FUZZ_BASES = [
+    representation_to_json(make_family(tag, **params)[1])
+    for tag, params in (("heisenberg", {"m": 1}), ("nap", {"a": 1, "p": 2}), ("nabc", {"a": 1, "b": 1, "c": 1}))
+]
+OTHER_TYPES = [None, "x", 1.5, True, 7, "2/3", [], [[1]], {}, {"i": 1}]
+
+
+def _paths(doc, prefix=()):
+    """Every key/index path below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def malformed_representations(draw):
+    """A family representation document with one or two malformations."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        kind = draw(st.sampled_from(["drop", "retype", "index", "div0", "ragged", "count"]))
+        if kind == "drop":
+            keyed = [p for p in paths if isinstance(_get(doc, p[:-1]), dict)]
+            path = draw(st.sampled_from(keyed))
+            del _get(doc, path[:-1])[path[-1]]
+            continue
+        if kind == "retype":
+            path, value = draw(st.sampled_from(paths)), draw(st.sampled_from(OTHER_TYPES))
+        elif kind == "index":
+            # bracket indices i, j and the target index k of each term
+            spots = [p for p in paths if p[-1] in ("i", "j") or (len(p) > 2 and p[-3] == "terms" and p[-1] == 0)]
+            if not spots:
+                continue
+            path, value = draw(st.sampled_from(spots)), draw(st.sampled_from([0, -1, 4, 10, 1000]))
+        elif kind == "div0":
+            strings = [p for p in paths if isinstance(_get(doc, p), str)]
+            if not strings:
+                continue
+            path, value = draw(st.sampled_from(strings)), "1/0"
+        elif kind == "ragged":
+            rows = [p for p in paths if len(p) == 3 and p[0] == "matrices" and isinstance(_get(doc, p), list)]
+            if not rows:
+                continue
+            path = draw(st.sampled_from(rows))
+            row = _get(doc, path)
+            value = row[:-1] if draw(st.booleans()) else row + ["0"]
+        else:
+            mats = doc.get("matrices")
+            if not isinstance(mats, list) or not mats:
+                continue
+            path = ("matrices",)
+            value = mats[:-1] if draw(st.booleans()) else mats + [mats[-1]]
+        _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@given(malformed_representations())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_input_files_never_crash(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    rep_path, alg_path = tmp / "rep.json", tmp / "alg.json"
+    rep_path.write_text(json.dumps(doc))
+    alg_path.write_text(json.dumps(doc.get("algebra", doc)))
+    # main runs in-process, so an exception escaping it fails the test by itself
+    for argv in (["bound", str(alg_path)], ["analyze", str(alg_path)], ["decompose", str(rep_path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1), (argv[0], err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestAnalyze:

@@ -105,14 +105,14 @@ class TestVerifyDecomposition:
     def test_heisenberg_all_checks_pass(self, heis_setup):
         rep, filt = heis_setup
         dec = decompose(rep, filt, seed=0)
-        report = verify_decomposition(dec, dec.chain, filt.p0)
+        report = verify_decomposition(dec)
         assert report.ok
         assert report.moreover_checked
 
     def test_n112_with_moreover(self, n112_setup):
         rep, filt = n112_setup
         dec = decompose(rep, filt, seed=0)
-        report = verify_decomposition(dec, dec.chain, filt.p0)
+        report = verify_decomposition(dec)
         assert report.ok
         assert report.moreover_checked
 
@@ -121,7 +121,7 @@ class TestVerifyDecomposition:
         dec = decompose(rep, filt, seed=0)
         swapped = dec.vectors[1], dec.vectors[0], *dec.vectors[2:]
         bad = dataclasses.replace(dec, vectors=swapped)
-        report = verify_decomposition(bad, bad.chain, filt.p0)
+        report = verify_decomposition(bad)
         assert not report.ok
         assert any("v_1" in f and "!= 0" in f for f in report.failures)
 
@@ -193,7 +193,7 @@ class TestProfile:
         dec = decompose(rep, filt, seed=0)
         profile = extract_profile(dec, rep.dimV)
         assert sum(profile) == rep.dimV
-        report = verify_decomposition(dec, dec.chain, filt.p0)
+        report = verify_decomposition(dec)
         assert report.ok
 
 

@@ -16,9 +16,7 @@ from nilbound.linalg import (
     rat,
     rat_str,
     rref,
-    solve,
     span,
-    vec,
 )
 
 
@@ -101,15 +99,9 @@ def test_rat_str_round_trip():
     assert rat("7") == Fraction(7)
 
 
-def test_solve_and_invert():
+def test_invert():
     m = M([[2, 1], [1, 1]])
-    x = solve(m, vec([3, 2]))
-    assert m.apply(x) == vec([3, 2])
     assert invert(m) @ m == Matrix.identity(2)
-
-
-def test_solve_inconsistent():
-    assert solve(M([[1, 1], [1, 1]]), vec([0, 1])) is None
 
 
 small_rationals = st.fractions(
@@ -163,3 +155,166 @@ def test_complement_properties(n, data):
     c = complement_extending(ambient, inner, Subspace.zero(n))
     assert c.dim + inner.dim == n
     assert intersect(c, inner).dim == 0
+
+
+# The integer kernel against a textbook Fraction Gauss-Jordan written here.
+
+def ref_rref(rows):
+    """(all rows reduced, 0-based pivot columns), eliminating on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def ref_span(rows, n):
+    reduced, pivots = ref_rref(rows)
+    return Subspace(n, tuple(tuple(r) for r in reduced[: len(pivots)]))
+
+
+def ref_kernel(rows, n):
+    reduced, pivots = ref_rref(rows)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        basis.append(v)
+    return ref_span(basis, n)
+
+
+def ref_intersect(a, b):
+    """x = sum alpha_i a_i = sum beta_j b_j: the alpha half of the kernel of [A^T | -B^T]."""
+    n = a.ambient_dim
+    cols = list(a.basis) + [tuple(-x for x in v) for v in b.basis]
+    rows = [[c[i] for c in cols] for i in range(n)]
+    coeffs = ref_kernel(rows, len(cols)).basis if cols else ()
+    vecs = [[sum(c * v[i] for c, v in zip(k, a.basis)) for i in range(n)] for k in coeffs]
+    return ref_span(vecs, n)
+
+
+def ref_complement(ambient, inner, must):
+    chosen = list(must.basis)
+    current = list(must.basis) + list(inner.basis)
+    rank = len(ref_rref(current)[1])
+    for cand in ambient.basis:
+        if rank == ambient.dim:
+            break
+        if len(ref_rref(current + [cand])[1]) > rank:
+            chosen.append(cand)
+            current.append(cand)
+            rank += 1
+    return ref_span(chosen, ambient.ambient_dim)
+
+
+def ref_product(a, b):
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+wide_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 1000)),
+)
+
+
+@st.composite
+def rational_rows(draw, rows, cols):
+    """Random rows, zero rows, and combinations of two earlier rows (for low rank)."""
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        if kind == "zero":
+            out.append([Fraction(0)] * cols)
+        elif kind == "combination" and out:
+            u, v = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            s, t = draw(wide_entries), draw(wide_entries)
+            out.append([s * x + t * y for x, y in zip(u, v)])
+        else:
+            out.append(draw(st.lists(wide_entries, min_size=cols, max_size=cols)))
+    return out
+
+
+@st.composite
+def shapes(draw):
+    """Wide and tall shapes up to 6 x 9."""
+    short, long = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    return (short, long) if draw(st.booleans()) else (long, short)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rref_span_kernel_match_fraction_reference(data):
+    rows, cols = data.draw(shapes())
+    m = M(data.draw(rational_rows(rows, cols)))
+    reduced, pivots = ref_rref(m.entries)
+    r, rank, pivots1 = rref(m)
+    assert r == M(reduced) and all_fractions(r.entries)
+    assert (rank, pivots1) == (len(pivots), [c + 1 for c in pivots])
+    sub = span(m.entries, cols)
+    assert sub == ref_span(m.entries, cols) and all_fractions(sub.basis)
+    ker = kernel_basis(m)
+    assert ker == ref_kernel(m.entries, cols) and all_fractions(ker.basis)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_intersect_and_complement_match_fraction_reference(data):
+    n = data.draw(st.integers(1, 9))
+    a = span(data.draw(rational_rows(data.draw(st.integers(0, 6)), n)), n)
+    b = span(data.draw(rational_rows(data.draw(st.integers(0, 6)), n)), n)
+    meet = intersect(a, b)
+    assert meet == ref_intersect(a, b) and all_fractions(meet.basis)
+    # inner and must_contain inside a, from combinations of its basis
+    def inside(k):
+        combos = [[sum(c * v[i] for c, v in zip(cs, a.basis)) for i in range(n)]
+                  for cs in data.draw(rational_rows(k, a.dim))] if a.dim else []
+        return span(combos, n)
+
+    inner, must = inside(data.draw(st.integers(0, 3))), inside(data.draw(st.integers(0, 2)))
+    if ref_intersect(must, inner).dim:
+        with pytest.raises(ValueError, match="meets inner"):
+            complement_extending(a, inner, must)
+        return
+    comp = complement_extending(a, inner, must)
+    assert comp == ref_complement(a, inner, must) and all_fractions(comp.basis)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_products_and_inverse_match_fraction_reference(data):
+    rows, inner = data.draw(shapes())
+    cols = data.draw(st.integers(1, 9))
+    a = M(data.draw(rational_rows(rows, inner)))
+    b = M(data.draw(rational_rows(inner, cols)))
+    prod = a @ b
+    assert prod == M(ref_product(a.entries, b.entries)) and all_fractions(prod.entries)
+    v = data.draw(st.lists(wide_entries, min_size=inner, max_size=inner))
+    image = a.apply(v)
+    assert image == tuple(ref_product(a.entries, [[x] for x in v])[i][0] for i in range(rows))
+    assert all_fractions([image])
+    n = data.draw(st.integers(1, 6))
+    sq = M(data.draw(rational_rows(n, n)))
+    aug, pivots = ref_rref([list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(sq.entries)])
+    if all(c < n for c in pivots):
+        inv = invert(sq)
+        assert inv == M([r[n:] for r in aug]) and all_fractions(inv.entries)
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            invert(sq)
