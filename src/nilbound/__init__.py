@@ -18,8 +18,6 @@ from nilbound.bounds import (
     is_feasible,
     solve_bruteforce,
     solve_exact,
-    closed_bound_first,
-    closed_bound_second,
     theorem_mainbound,
     lower_bound_report,
 )

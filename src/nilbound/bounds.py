@@ -25,17 +25,11 @@ from nilbound.linalg import Q
 from nilbound.liealg import (
     Filtration,
     LieAlgebra,
-    NotNilpotentError,
     admissible_p0_set,
     center,
     default_filtration,
     validate_filtration,
 )
-
-# Test hook: added to the RHS of constraint (b) to let the reproduction
-# harness demonstrate that it detects an off-by-one fault. Keep at 0.
-CONSTRAINT_B_FAULT_OFFSET = 0
-
 
 @dataclass(frozen=True)
 class BoundProblem:
@@ -80,7 +74,7 @@ def is_feasible(prob: BoundProblem, a) -> bool:
     r = _suffix_sums(a)
     for k in range(1, prob.p0 + 1):
         lhs = sum(a[i] * r[k + i] for i in range(prob.p0 - k + 1))
-        if lhs < prob.n[k - 1] + CONSTRAINT_B_FAULT_OFFSET:
+        if lhs < prob.n[k - 1]:
             return False
     for k in range(prob.p0, prob.p + 1):
         if a[0] * r[k] < prob.n[k - 1]:
@@ -144,11 +138,6 @@ def first_bound(p0: int, n1: int) -> RootBound:
     return RootBound(Q(2 * (p0 + 1), p0) * n1, case="first")
 
 
-def closed_bound_first(p0: int, n1: int) -> float:
-    """sqrt(2(p0+1)/p0 * n1), the relaxation bound depending only on n_1."""
-    return first_bound(p0, n1).value
-
-
 def paper_second_bound(p0: int, n1: int, np0: int) -> RootBound:
     """The paper's two-term formula in n_1 and n_{p0}, with its case tag.
 
@@ -192,16 +181,6 @@ def second_bound(p0: int, n1: int, np0: int) -> RootBound:
     if 2 * n1 > p0 * (p0 + 1) * np0:
         return RootBound(first_bound(p0, n1).q, case="slack")
     return paper
-
-
-def closed_bound_second(p0: int, n1: int, np0: int) -> tuple[float, str]:
-    """The paper's two-term formula; returns (value, case tag).
-
-    This is `paper_second_bound`, which can exceed r0_min when the n_{p0}
-    constraint is slack; `second_bound` is the certified value.
-    """
-    b = paper_second_bound(p0, n1, np0)
-    return b.value, b.case
 
 
 def theorem_mainbound(p: int, dim_n: int, dim_z: int) -> float:
@@ -284,7 +263,7 @@ def solve_exact(prob: BoundProblem) -> BoundSolution:
 
         for k in range(1, p0 + 1):
             ub = sum((prefix[i] if i <= j else m) * r_upper(k + i) for i in range(p0 - k + 1))
-            if ub < n[k - 1] + CONSTRAINT_B_FAULT_OFFSET:
+            if ub < n[k - 1]:
                 return None
         for k in range(p0, p + 1):
             if prefix[0] * r_upper(k) < n[k - 1]:
@@ -313,6 +292,26 @@ def solve_exact(prob: BoundProblem) -> BoundSolution:
 # ---------------------------------------------------------------------------
 # Report pipeline
 
+def closed_form_fields(p0: int, dims: tuple[int, ...]) -> dict:
+    """The closed-form report fields for admissible index p0 and chain dims n_1, n_2, ...
+
+    The two-term fields use the paper's formula (`paper_second_bound`) and
+    are None when p0 < 2.
+    """
+    fb = first_bound(p0, dims[0])
+    fields = {
+        "closed_first": f"{fb.value:.6f}",
+        "closed_first_ceil": fb.exact_ceil(),
+        "closed_second": None,
+        "closed_second_ceil": None,
+        "case": None,
+    }
+    if p0 >= 2:
+        sb = paper_second_bound(p0, dims[0], dims[p0 - 1])
+        fields.update(closed_second=f"{sb.value:.6f}", closed_second_ceil=sb.exact_ceil(), case=sb.case)
+    return fields
+
+
 def lower_bound_report(alg: LieAlgebra, filtration: Filtration | None = None) -> dict:
     """Full lower-bound report over every admissible p0 of the filtration."""
     if filtration is None:
@@ -330,23 +329,9 @@ def lower_bound_report(alg: LieAlgebra, filtration: Filtration | None = None) ->
     for p0 in admissible:
         prob = BoundProblem.stripped(p0, dims)
         sol = solve_exact(prob)
-        fb = first_bound(p0, dims[0])
-        entry = {
-            "p0": p0,
-            "r0_min": sol.r0_min,
-            "witness": list(sol.witness),
-            "closed_first": f"{fb.value:.6f}",
-            "closed_first_ceil": fb.exact_ceil(),
-            "closed_second": None,
-            "closed_second_ceil": None,
-            "case": None,
-        }
-        if p0 >= 2:
-            sb = paper_second_bound(p0, dims[0], dims[p0 - 1])
-            entry["closed_second"] = f"{sb.value:.6f}"
-            entry["closed_second_ceil"] = sb.exact_ceil()
-            entry["case"] = sb.case
-        per_p0.append(entry)
+        per_p0.append(
+            {"p0": p0, "r0_min": sol.r0_min, "witness": list(sol.witness), **closed_form_fields(p0, dims)}
+        )
         best = max(best, sol.r0_min)
 
     p = filtration.p

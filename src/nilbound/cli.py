@@ -11,15 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from nilbound import bounds as bounds_mod
-from nilbound.bounds import (
-    BoundProblem,
-    first_bound,
-    lower_bound_report,
-    paper_second_bound,
-    solve_bruteforce,
-    solve_exact,
-)
+from nilbound.bounds import BoundProblem, closed_form_fields, lower_bound_report, solve_bruteforce, solve_exact
 from nilbound.decomposition import (
     FaithfulnessError,
     SamplingBudgetExhausted,
@@ -75,11 +67,16 @@ def _parse_file(path: str, what: str, parse):
         raise InputError(f"malformed {what} file {path}: {exc}") from exc
 
 
-def _load_algebra(path: str):
-    alg = _parse_file(path, "algebra", algebra_from_json)
+def _check_algebra(alg) -> None:
+    """Raise an InputError when the algebra fails the Jacobi check."""
     report = validate(alg)
     if not report.ok:
         raise InputError("invalid algebra: " + "; ".join(report.violations))
+
+
+def _load_algebra(path: str):
+    alg = _parse_file(path, "algebra", algebra_from_json)
+    _check_algebra(alg)
     return alg
 
 
@@ -115,7 +112,6 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     sol = solve_bruteforce(prob) if args.brute else solve_exact(prob)
-    fb = first_bound(prob.p0, dims[0])
     out = {
         "p": prob.p,
         "p0": prob.p0,
@@ -123,17 +119,8 @@ def cmd_solve(args) -> int:
         "r0_min": sol.r0_min,
         "witness": list(sol.witness),
         "nodes_explored": sol.nodes_explored,
-        "closed_first": f"{fb.value:.6f}",
-        "closed_first_ceil": fb.exact_ceil(),
-        "closed_second": None,
-        "closed_second_ceil": None,
-        "case": None,
+        **closed_form_fields(prob.p0, dims),
     }
-    if prob.p0 >= 2:
-        sb = paper_second_bound(prob.p0, dims[0], dims[prob.p0 - 1])
-        out["closed_second"] = f"{sb.value:.6f}"
-        out["closed_second_ceil"] = sb.exact_ceil()
-        out["case"] = sb.case
     _emit(out)
     return 0
 
@@ -182,11 +169,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     rep = _parse_file(args.representation, "representation", representation_from_json)
-    val_alg = validate(rep.algebra)
-    if not val_alg.ok:
-        raise InputError("invalid algebra: " + "; ".join(val_alg.violations))
-    if not is_nilpotent(rep.algebra):
-        raise InputError(f"algebra {rep.algebra.name!r} is not nilpotent")
+    _check_algebra(rep.algebra)
     filt = default_filtration(rep.algebra)
     try:
         dec = decompose(rep, filt, seed=args.seed)
@@ -195,9 +178,9 @@ def cmd_decompose(args) -> int:
     report = verify_decomposition(dec)
     out = decomposition_to_json(dec, report)
     if report.ok:
-        ab = build_adapted_basis(dec, filt.p0)
-        blocks = verify_block_structure(ab, dec, filt.p0)
-        profile = extract_profile(dec, rep.dimV)
+        ab = build_adapted_basis(dec)
+        blocks = verify_block_structure(ab, dec)
+        profile = extract_profile(dec)
         out["adapted_basis"] = {"r": list(ab.r), "q": ab.q, "size": len(ab.basis_vectors)}
         out["block_structure_ok"] = blocks.ok
         out["block_failures"] = blocks.failures
@@ -223,8 +206,6 @@ def _paper_rows(quick: bool):
 
 
 def cmd_verify_paper(args) -> int:
-    if args.inject_constraint_fault:
-        bounds_mod.CONSTRAINT_B_FAULT_OFFSET = 1
     all_ok = True
     print(f"{'case':<16} {'expected':>8} {'computed':>8}  status")
     for label, (tag, params), expected in _paper_rows(args.quick):
@@ -273,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify-paper", help="run the reproduction grid")
     ver.add_argument("--quick", action="store_true")
-    ver.add_argument("--inject-constraint-fault", action="store_true", help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify_paper)
     return parser
 

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from nilbound.bounds import BoundProblem, is_feasible
 from nilbound.linalg import (
     Matrix,
     Q,
@@ -283,7 +284,7 @@ class AdaptedBasis:
     V0: Subspace
 
 
-def build_adapted_basis(dec: Decomposition, p0: int) -> AdaptedBasis:
+def build_adapted_basis(dec: Decomposition) -> AdaptedBasis:
     """Assemble B = (X_1 v_1, ..., X_{r_1} v_1, w_1, ..., w_q, v_1, ..., v_{s_{p0}})."""
     n = dec.space_dim
     amb = n * n
@@ -304,7 +305,7 @@ def build_adapted_basis(dec: Decomposition, p0: int) -> AdaptedBasis:
 
     v1 = dec.vectors[0]
     images = [op.apply(v1) for op in ops]
-    s_p0 = dec.partition[p0 - 1]
+    s_p0 = dec.partition[dec.p0 - 1]
     tail = list(dec.vectors[:s_p0])
     v0 = span(tail, n)
     partial = span(images + tail, n)
@@ -340,11 +341,11 @@ def _blocks(m: Matrix, sizes: tuple[int, int, int]) -> dict[tuple[int, int], lis
     return out
 
 
-def verify_block_structure(ab: AdaptedBasis, dec: Decomposition, p0: int) -> BlockReport:
+def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
     """Check the block patterns of every grid operator in the adapted basis."""
     report = BlockReport()
     n = dec.space_dim
-    p = dec.p
+    p, p0 = dec.p, dec.p0
     r = ab.r
     s = dec.partition
     sizes = (r[0], ab.q, s[p0 - 1])
@@ -396,10 +397,9 @@ def verify_block_structure(ab: AdaptedBasis, dec: Decomposition, p0: int) -> Blo
     return report
 
 
-def extract_profile(dec: Decomposition, dim_v: int) -> tuple[int, ...]:
+def extract_profile(dec: Decomposition) -> tuple[int, ...]:
     """Profile (a_0, ..., a_p) from the first grid column; certified feasible."""
-    from nilbound.bounds import BoundProblem, is_feasible
-
+    dim_v = dec.space_dim
     r = dec.rank_dims()
     p = dec.p
     a = [dim_v - r[0]]

@@ -257,7 +257,7 @@ class Representation:
         return Matrix.combination(((c, self.matrices[k]) for k, c in terms), self.dimV, self.dimV)
 
 
-def validate_representation(rep: Representation, require_nil: bool = True) -> ValidationReport:
+def validate_representation(rep: Representation) -> ValidationReport:
     """Homomorphism property on all basis pairs; nilpotency of each generator."""
     report = ValidationReport()
     alg = rep.algebra
@@ -270,10 +270,9 @@ def validate_representation(rep: Representation, require_nil: bool = True) -> Va
             rhs = rep._combine(alg.ad[i].get(j, ()))
             if lhs != rhs:
                 report.violations.append(f"homomorphism fails on basis pair ({i + 1}, {j + 1})")
-    if require_nil:
-        for i, m in enumerate(rep.matrices):
-            if not m.is_nilpotent():
-                report.violations.append(f"rho(x_{i + 1}) is not nilpotent")
+    for i, m in enumerate(rep.matrices):
+        if not m.is_nilpotent():
+            report.violations.append(f"rho(x_{i + 1}) is not nilpotent")
     return report
 
 

@@ -223,12 +223,12 @@ def test_criterion_8_decomposition_suite(decomposition_grid):
         if not ver.ok:
             failures.append((name, "decomposition", ver.failures[:2]))
             continue
-        ab = build_adapted_basis(dec, filt.p0)
-        blocks = verify_block_structure(ab, dec, filt.p0)
+        ab = build_adapted_basis(dec)
+        blocks = verify_block_structure(ab, dec)
         if not blocks.ok:
             failures.append((name, "blocks", blocks.failures[:2]))
             continue
-        profile = extract_profile(dec, rep.dimV)
+        profile = extract_profile(dec)
         if sum(profile) != rep.dimV:
             failures.append((name, "profile", profile))
     elapsed = time.time() - t0

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nilbound.bounds as bounds
 from nilbound.bounds import (
     BoundProblem,
-    closed_bound_first,
-    closed_bound_second,
     first_bound,
     is_feasible,
     lower_bound_report,
@@ -64,10 +61,6 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             is_feasible(BoundProblem(2, 2, (3, 1)), (1, 1))
 
-    def test_fault_hook_shifts_constraint_b(self, monkeypatch):
-        monkeypatch.setattr(bounds, "CONSTRAINT_B_FAULT_OFFSET", 1)
-        assert not is_feasible(BoundProblem(2, 2, (3, 1)), (1, 1, 1))
-
 
 class TestBruteforce:
     def test_heisenberg(self):
@@ -99,9 +92,9 @@ class TestExactSolver:
 
 class TestClosedForms:
     def test_first_bound_values(self):
-        assert closed_bound_first(2, 3) == pytest.approx(3.0)
-        assert closed_bound_first(1, 4) == pytest.approx(4.0)
-        assert closed_bound_first(3, 6) == pytest.approx(4.0)
+        assert first_bound(2, 3).value == pytest.approx(3.0)
+        assert first_bound(1, 4).value == pytest.approx(4.0)
+        assert first_bound(3, 6).value == pytest.approx(4.0)
 
     def test_first_bound_exact_ceil(self):
         assert first_bound(2, 3).exact_ceil() == 3
@@ -109,12 +102,12 @@ class TestClosedForms:
         assert first_bound(1, 1).exact_ceil() == 2
 
     def test_second_bound_cases(self):
-        val, case = closed_bound_second(2, 9, 4)
-        assert val == pytest.approx(5.25) and case == "p0_equals_2"
-        val, case = closed_bound_second(2, 5, 1)
-        assert val == pytest.approx(4.0) and case == "case1"
-        val, case = closed_bound_second(3, 26, 1)
-        assert val == pytest.approx(math.sqrt(75)) and case == "case1"
+        b = paper_second_bound(2, 9, 4)
+        assert b.value == pytest.approx(5.25) and b.case == "p0_equals_2"
+        b = paper_second_bound(2, 5, 1)
+        assert b.value == pytest.approx(4.0) and b.case == "case1"
+        b = paper_second_bound(3, 26, 1)
+        assert b.value == pytest.approx(math.sqrt(75)) and b.case == "case1"
 
     def test_second_bound_case2(self):
         b = second_bound(3, 10, 2)

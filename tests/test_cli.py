@@ -23,12 +23,6 @@ def heis_files(tmp_path):
     return alg_path, rep_path
 
 
-@pytest.fixture
-def reset_fault_hook():
-    yield
-    bounds.CONSTRAINT_B_FAULT_OFFSET = 0
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -87,6 +81,15 @@ class TestSolve:
         assert code == 1
 
 
+# [x, y] = y: solvable, not nilpotent
+SOLVABLE_ALGEBRA = {
+    "name": "solvable",
+    "dim": 2,
+    "basis": ["x", "y"],
+    "brackets": [{"i": 1, "j": 2, "terms": [[2, "1"]]}],
+}
+
+
 class TestBound:
     def test_heisenberg_file(self, heis_files, capsys):
         alg_path, _ = heis_files
@@ -95,14 +98,8 @@ class TestBound:
         assert json.loads(out)["mu_nil_lower_bound"] == 3
 
     def test_non_nilpotent_rejected(self, tmp_path, capsys):
-        data = {
-            "name": "solvable",
-            "dim": 2,
-            "basis": ["x", "y"],
-            "brackets": [{"i": 1, "j": 2, "terms": [[2, "1"]]}],
-        }
         path = tmp_path / "solvable.algebra.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(SOLVABLE_ALGEBRA))
         code, _, err = run(capsys, "bound", str(path))
         assert code == 1
         assert "not nilpotent" in err
@@ -259,6 +256,34 @@ class TestDecompose:
         code, _, _ = run(capsys, "decompose", str(path))
         assert code == 1
 
+    def test_non_nilpotent_algebra_rejected(self, tmp_path, capsys):
+        # x -> E_11, y -> E_12 is a representation of [x, y] = y
+        data = {
+            "algebra": SOLVABLE_ALGEBRA,
+            "dimV": 2,
+            "matrices": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]]],
+        }
+        path = tmp_path / "solvable.representation.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "decompose", str(path))
+        assert code == 1
+        assert "is not nilpotent" in err
+
+
+real_is_feasible = bounds.is_feasible
+
+
+def is_feasible_off_by_one(prob, a):
+    """is_feasible with the right-hand side of constraint (b) raised to n_k + 1."""
+    if not real_is_feasible(prob, a):
+        return False
+    a = tuple(int(x) for x in a)
+    r = [sum(a[k:]) for k in range(len(a) + 1)]
+    return all(
+        sum(a[i] * r[k + i] for i in range(prob.p0 - k + 1)) >= prob.n[k - 1] + 1
+        for k in range(1, prob.p0 + 1)
+    )
+
 
 class TestVerifyPaper:
     def test_quick_grid_passes(self, capsys):
@@ -267,7 +292,21 @@ class TestVerifyPaper:
         assert "FAIL" not in out
         assert out.count("PASS") == 4
 
-    def test_injected_fault_detected(self, capsys, reset_fault_hook):
-        code, out, _ = run(capsys, "verify-paper", "--quick", "--inject-constraint-fault")
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "is_feasible", is_feasible_off_by_one)
+        code, out, _ = run(capsys, "verify-paper", "--quick")
         assert code == 2
         assert "FAIL" in out
+
+    def test_fault_run_leaves_later_commands_exact(self, capsys, monkeypatch):
+        def solve_heisenberg():
+            code, out, _ = run(capsys, "solve", "--p", "2", "--p0", "2", "--dims", "3,1")
+            report = json.loads(out)
+            return code, report["r0_min"], report["witness"]
+
+        assert solve_heisenberg() == (0, 3, [1, 1, 1])
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "is_feasible", is_feasible_off_by_one)
+            assert run(capsys, "verify-paper", "--quick")[0] == 2
+        assert solve_heisenberg() == (0, 3, [1, 1, 1])
+        assert run(capsys, "verify-paper", "--quick")[0] == 0

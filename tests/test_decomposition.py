@@ -130,7 +130,7 @@ class TestAdaptedBasis:
     def test_heisenberg_sizes(self, heis_setup):
         rep, filt = heis_setup
         dec = decompose(rep, filt, seed=0)
-        ab = build_adapted_basis(dec, filt.p0)
+        ab = build_adapted_basis(dec)
         assert ab.r == (2, 1)
         assert ab.q == 0
         assert len(ab.basis_vectors) == 3
@@ -138,7 +138,7 @@ class TestAdaptedBasis:
     def test_n112_sizes(self, n112_setup):
         rep, filt = n112_setup
         dec = decompose(rep, filt, seed=0)
-        ab = build_adapted_basis(dec, filt.p0)
+        ab = build_adapted_basis(dec)
         assert ab.q == 0
         assert len(ab.basis_vectors) == 4
 
@@ -146,7 +146,7 @@ class TestAdaptedBasis:
         rep = e12_on_k2()
         filt = default_filtration(rep.algebra)
         dec = decompose(rep, filt, seed=0)
-        ab = build_adapted_basis(dec, filt.p0)
+        ab = build_adapted_basis(dec)
         assert (ab.r, ab.q, len(ab.basis_vectors)) == ((1,), 0, 2)
 
 
@@ -155,19 +155,19 @@ class TestBlockStructure:
     def test_patterns_hold(self, family, heis_setup, n112_setup):
         rep, filt = heis_setup if family == "heis" else n112_setup
         dec = decompose(rep, filt, seed=0)
-        ab = build_adapted_basis(dec, filt.p0)
-        report = verify_block_structure(ab, dec, filt.p0)
+        ab = build_adapted_basis(dec)
+        report = verify_block_structure(ab, dec)
         assert report.ok
         assert report.checked > 0
 
     def test_reordered_basis_fails(self, n112_setup):
         rep, filt = n112_setup
         dec = decompose(rep, filt, seed=0)
-        ab = build_adapted_basis(dec, filt.p0)
+        ab = build_adapted_basis(dec)
         shuffled = AdaptedBasis(
             ab.r, ab.operators, ab.q, tuple(reversed(ab.basis_vectors)), ab.W, ab.V0
         )
-        report = verify_block_structure(shuffled, dec, filt.p0)
+        report = verify_block_structure(shuffled, dec)
         assert not report.ok
 
 
@@ -175,23 +175,23 @@ class TestProfile:
     def test_heisenberg(self, heis_setup):
         rep, filt = heis_setup
         dec = decompose(rep, filt, seed=0)
-        assert extract_profile(dec, rep.dimV) == (1, 1, 1)
+        assert extract_profile(dec) == (1, 1, 1)
 
     def test_n112(self, n112_setup):
         rep, filt = n112_setup
         dec = decompose(rep, filt, seed=0)
-        assert extract_profile(dec, rep.dimV) == (2, 1, 1)
+        assert extract_profile(dec) == (2, 1, 1)
 
     def test_abelian_on_k2(self):
         rep = e12_on_k2()
         dec = decompose(rep, default_filtration(rep.algebra), seed=0)
-        assert extract_profile(dec, 2) == (1, 1)
+        assert extract_profile(dec) == (1, 1)
 
     def test_nap_22_profile_sums_to_dimv(self):
         alg, rep = make_nap(2, 2)
         filt = default_filtration(alg)
         dec = decompose(rep, filt, seed=0)
-        profile = extract_profile(dec, rep.dimV)
+        profile = extract_profile(dec)
         assert sum(profile) == rep.dimV
         report = verify_decomposition(dec)
         assert report.ok
