@@ -19,6 +19,10 @@ r0_min is nondecreasing in every n_k and the two-term bounds depend only on
 (p0, n1, n_{p0}), these problems are the worst cases for the two-term bounds
 over the whole range.
 
+The exit status is 1 when a bound is violated or `second_bound` falls below
+`first_bound`, and 0 otherwise; overshoots of the paper's formula are
+reported but do not fail the run.
+
 Usage: python scripts/closed_bound_check.py [count] [seed]
        python scripts/closed_bound_check.py --worst-case N1MAX
 """
@@ -59,7 +63,7 @@ def worst_case_problems(n1_max: int):
                     yield BoundProblem(p, p0, n)
 
 
-def main() -> None:
+def main() -> int:
     if len(sys.argv) > 1 and sys.argv[1] == "--worst-case":
         n1_max = int(sys.argv[2]) if len(sys.argv) > 2 else 60
         problems = worst_case_problems(n1_max)
@@ -97,7 +101,8 @@ def main() -> None:
     smallest = sorted(set(paper_over), key=lambda t: (t[0].n[0], t[0].p, t[0].p0, t[0].n))
     for prob, r0, ceil, case in smallest[:LISTED]:
         print(f"  p={prob.p} p0={prob.p0} n={prob.n} r0_min={r0} paper ceiling={ceil} case={case}")
+    return 1 if first_bad or second_bad or dominance_bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

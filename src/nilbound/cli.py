@@ -90,7 +90,10 @@ def cmd_family(args) -> int:
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise InputError(f"family {args.tag!r} needs --{' --'.join(missing)}")
-    alg, rep = make_family(args.tag, **params)
+    try:
+        alg, rep = make_family(args.tag, **params)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     out = Path(args.output) if args.output else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     base = alg.name.translate(str.maketrans({"{": "", "}": "", ",": "_"}))
@@ -130,6 +133,8 @@ def _parse_filtration(alg, path: str):
         chain_data = data["chain"] if isinstance(data, dict) else data
         chain = [span([[rat(x) for x in row] for row in sub], alg.dim) for sub in chain_data]
         p0 = data.get("p0", len(chain)) if isinstance(data, dict) else len(chain)
+        if type(p0) is not int:
+            raise TypeError(f"p0 must be an integer, not {p0!r}")
         return make_filtration(alg, chain, p0)
 
     filt = _parse_file(path, "filtration", parse)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from nilbound.bounds import BoundProblem, is_feasible
 from nilbound.linalg import (
@@ -33,7 +32,6 @@ from nilbound.linalg import (
     kernel_basis,
     rat_str,
     span,
-    subspace_sum,
 )
 from nilbound.liealg import Filtration, Representation, is_faithful, validate_representation
 
@@ -66,10 +64,6 @@ class OperatorChain:
     def p(self) -> int:
         return len(self.levels)
 
-    def operators(self, k: int) -> list[Matrix]:
-        """Basis of level k (1-based) as matrices."""
-        return _operators(self.levels[k - 1], self.space_dim)
-
 
 def _operators(sub: Subspace, n: int) -> list[Matrix]:
     """The basis of a subspace of End(V) as n x n matrices."""
@@ -88,9 +82,7 @@ def _image_dims(level_ops: list[list[Matrix]], n: int, v: Vector) -> tuple[int, 
     return tuple(span([op.apply(v) for op in ops], n).dim for ops in level_ops)
 
 
-def find_rank_vector(
-    chain: OperatorChain, seed: int | None = None, rng: random.Random | None = None
-) -> tuple[Vector, tuple[int, ...]]:
+def find_rank_vector(chain: OperatorChain, rng: random.Random) -> tuple[Vector, tuple[int, ...]]:
     """Sample a vector achieving the generic maximum of dim T_k . v at every level.
 
     Integer coordinates are drawn from [-M, M] with M = 16, doubling each
@@ -99,10 +91,8 @@ def find_rank_vector(
     it. Genericity makes failure vanishingly unlikely; the certificate comes
     from verify_decomposition, not from this sampler.
     """
-    if rng is None:
-        rng = random.Random(seed)
     n = chain.space_dim
-    level_ops = [chain.operators(k) for k in range(1, chain.p + 1)]
+    level_ops = [_operators(lvl, n) for lvl in chain.levels]
     bound = 16
     for _ in range(64):
         batch = [
@@ -161,18 +151,14 @@ def decompose(rep: Representation, filt: Filtration, seed: int = 0) -> Decomposi
         raise ValueError("invalid representation: " + "; ".join(val.violations))
     if not is_faithful(rep):
         raise FaithfulnessError("representation is not faithful")
-    chain = chain_from_representation(rep, filt)
-    dec = decompose_chain(chain, seed=seed, p0=filt.p0)
-    return dec
+    return decompose_chain(chain_from_representation(rep, filt), p0=filt.p0, seed=seed)
 
 
-def decompose_chain(chain: OperatorChain, seed: int = 0, p0: int | None = None) -> Decomposition:
+def decompose_chain(chain: OperatorChain, p0: int, seed: int = 0) -> Decomposition:
     n = chain.space_dim
     amb = n * n
     rng = random.Random(seed)
     p = chain.p
-    if p0 is None:
-        p0 = p
 
     s = [0] * (p + 1)  # 1-based
     levels = list(chain.levels)  # current R_k, 1-based via levels[k-1]
@@ -231,12 +217,9 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
 
     for k in range(1, p + 1):
         pieces = [dec.grid[(k, j)] for j in range(1, s[k - 1] + 1)]
-        total = Subspace.zero(amb)
-        dim_sum = 0
-        for piece in pieces:
-            total = subspace_sum(total, piece)
-            dim_sum += piece.dim
-        if total != chain.levels[k - 1] or dim_sum != chain.levels[k - 1].dim:
+        level = chain.levels[k - 1]
+        total = span([row for piece in pieces for row in piece.basis], amb)
+        if total != level or sum(piece.dim for piece in pieces) != level.dim:
             report.failures.append(f"grid row {k} is not a direct-sum decomposition of T_{k}")
         if k < p:
             for j in range(1, s[k] + 1):
@@ -261,8 +244,8 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
                     report.failures.append(f"T_({k},{j}).V is not inside T_({k},{i}).v_{i}")
 
     # moreover clause: needs nilpotent operators and [T_1, T_{p0}] = 0
-    t1_ops = chain.operators(1)
-    tp0_ops = chain.operators(p0)
+    t1_ops = _operators(chain.levels[0], n)
+    tp0_ops = _operators(chain.levels[p0 - 1], n)
     if all(op.is_nilpotent() for op in t1_ops) and all(
         a.commutator(b).is_zero() for a in t1_ops for b in tp0_ops
     ):
@@ -277,11 +260,8 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
 @dataclass(frozen=True)
 class AdaptedBasis:
     r: tuple[int, ...]  # r_k = dim T_{k,1}
-    operators: tuple[Matrix, ...]  # X_1..X_{r_1}, first r_k spanning T_{k,1}
     q: int
     basis_vectors: tuple[Vector, ...]  # ordered basis B of V
-    W: Subspace
-    V0: Subspace
 
 
 def build_adapted_basis(dec: Decomposition) -> AdaptedBasis:
@@ -307,7 +287,6 @@ def build_adapted_basis(dec: Decomposition) -> AdaptedBasis:
     images = [op.apply(v1) for op in ops]
     s_p0 = dec.partition[dec.p0 - 1]
     tail = list(dec.vectors[:s_p0])
-    v0 = span(tail, n)
     partial = span(images + tail, n)
     if partial.dim != r[0] + s_p0:
         raise ValueError("degenerate complement: images and rank vectors are dependent")
@@ -316,7 +295,7 @@ def build_adapted_basis(dec: Decomposition) -> AdaptedBasis:
     basis = tuple(images + ws + tail)
     if span(basis, n).dim != n:
         raise ValueError("adapted family is not a basis of V")
-    return AdaptedBasis(r, tuple(ops), len(ws), basis, w_space, v0)
+    return AdaptedBasis(r, len(ws), basis)
 
 
 @dataclass
@@ -329,26 +308,19 @@ class BlockReport:
         return not self.failures
 
 
-def _blocks(m: Matrix, sizes: tuple[int, int, int]) -> dict[tuple[int, int], list[list[Fraction]]]:
-    offs = [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
-    out = {}
-    for bi in range(3):
-        for bj in range(3):
-            out[(bi + 1, bj + 1)] = [
-                [m[i, j] for j in range(offs[bj], offs[bj + 1])]
-                for i in range(offs[bi], offs[bi + 1])
-            ]
-    return out
-
-
 def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
-    """Check the block patterns of every grid operator in the adapted basis."""
+    """Check the block patterns of every grid operator in the adapted basis.
+
+    A_mn is the block of rows in band m and columns in band n, where the bands
+    of B are the r_1 images X_h v_1, the q vectors w and the s_{p0} vectors v.
+    """
     report = BlockReport()
     n = dec.space_dim
     p, p0 = dec.p, dec.p0
     r = ab.r
     s = dec.partition
-    sizes = (r[0], ab.q, s[p0 - 1])
+    top = range(r[0])
+    bands = (top, range(r[0], r[0] + ab.q), range(r[0] + ab.q, r[0] + ab.q + s[p0 - 1]))
     change = Matrix.from_rows([[ab.basis_vectors[j][i] for j in range(n)] for i in range(n)])
     change_inv = invert(change)
 
@@ -356,43 +328,42 @@ def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
         return r[t - 1] if t <= p else 0
 
     for k in range(1, p + 1):
+        below = range(r_of(k), r[0])  # rows of the top band below r_k
         for j in range(1, s[k - 1] + 1):
             for idx, row in enumerate(dec.grid[(k, j)].basis):
-                x = Matrix.unflatten(row, n, n)
-                mb = change_inv @ x @ change
-                blocks = _blocks(mb, sizes)
+                entries = (change_inv @ Matrix.unflatten(row, n, n) @ change).entries
+
+                def nonzero(rows, cols) -> bool:
+                    return any(entries[i][c] for i in rows for c in cols)
+
                 tag = f"X[{idx + 1}] of T_({k},{j})"
                 report.checked += 1
                 if j == 1:
-                    col = [blocks[(1, 3)][h][0] for h in range(r[0])] if sizes[2] else []
-                    if any(col[h] != 0 for h in range(r_of(k), r[0])):
+                    first = bands[2][:1]  # the first column of A_13
+                    if nonzero(below, first):
                         report.failures.append(f"{tag}: first column of A_13 nonzero below r_k")
-                    if all(c == 0 for c in col):
+                    if not nonzero(top, first):
                         report.failures.append(f"{tag}: first column of A_13 vanishes for nonzero X")
                     continue
                 for m_blk in (2, 3):
                     for n_blk in (1, 2, 3):
-                        if any(any(x_ != 0 for x_ in rr) for rr in blocks[(m_blk, n_blk)]):
+                        if nonzero(bands[m_blk - 1], bands[n_blk - 1]):
                             report.failures.append(f"{tag}: A_{m_blk}{n_blk} nonzero")
-                a13 = blocks[(1, 3)]
                 # A_13 only has s_{p0} columns; v_j for j > s_{p0} has no column
-                for col_i in range(min(j - 1, sizes[2])):
-                    if any(a13[h][col_i] != 0 for h in range(r[0])):
+                for col_i, c in enumerate(bands[2][: j - 1]):
+                    if nonzero(top, (c,)):
                         report.failures.append(f"{tag}: column {col_i + 1} of A_13 nonzero")
                 # rows below r_k of the whole top band vanish
                 for n_blk in (1, 2, 3):
-                    blk = blocks[(1, n_blk)]
-                    if any(any(x_ != 0 for x_ in blk[h]) for h in range(r_of(k), r[0])):
+                    if nonzero(below, bands[n_blk - 1]):
                         report.failures.append(f"{tag}: A_1{n_blk} nonzero below row r_k")
                 # staircase inside A_11: column i (1-based) with i <= r_h implies
                 # zeros below row r_{k+h}
-                a11 = blocks[(1, 1)]
                 for col_i in range(1, r[0] + 1):
                     h_max = max(h for h in range(1, p + 1) if r_of(h) >= col_i)
-                    cutoff = r_of(k + h_max)
-                    if any(a11[h][col_i - 1] != 0 for h in range(cutoff, r[0])):
+                    if nonzero(range(r_of(k + h_max), r[0]), (col_i - 1,)):
                         report.failures.append(f"{tag}: staircase fails in column {col_i} of A_11")
-                if k >= p0 and any(any(x_ != 0 for x_ in rr) for rr in a11):
+                if k >= p0 and nonzero(top, top):
                     report.failures.append(f"{tag}: A_11 nonzero although the level is central")
     return report
 

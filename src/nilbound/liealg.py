@@ -38,7 +38,6 @@ class NotNilpotentError(ValueError):
 # brackets: {(i, j): ((k, coeff), ...)} with 0-based i < j, meaning
 # [x_i, x_j] = sum_k coeff * x_k
 Terms = tuple[tuple[int, Fraction], ...]
-BracketTable = Mapping[tuple[int, int], Terms]
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,8 @@ class LieAlgebra:
 
     @staticmethod
     def create(name: str, dim: int, brackets: Mapping, basis_names: Sequence[str] | None = None) -> "LieAlgebra":
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
         if basis_names is None:
             basis_names = tuple(f"x{i + 1}" for i in range(dim))
         clean = {}
@@ -65,14 +66,10 @@ class LieAlgebra:
         return LieAlgebra(name, dim, tuple(basis_names), frozenset(clean.items()))
 
     @cached_property
-    def table(self) -> dict[tuple[int, int], Terms]:
-        return dict(self.brackets)
-
-    @cached_property
     def ad(self) -> tuple[dict[int, Terms], ...]:
         """ad[i][j] are the terms of [x_i, x_j]; both orders are stored, the swapped one negated."""
         ad: list[dict[int, Terms]] = [{} for _ in range(self.dim)]
-        for (i, j), terms in self.table.items():
+        for (i, j), terms in self.brackets:
             ad[i][j] = terms
             ad[j][i] = tuple((k, -c) for k, c in terms)
         return tuple(ad)
@@ -291,26 +288,17 @@ def algebra_from_matrix_basis(name: str, mats: Sequence[Matrix]) -> tuple[LieAlg
         raise ValueError("empty matrix basis")
     dim_v = mats[0].rows
     flat = Matrix.from_rows([m.flatten() for m in mats])
-    red, trans, rank, pivots = rref_with_transform(flat)
+    _, trans, rank, pivots = rref_with_transform(flat)
     if rank != len(mats):
         raise ValueError("matrix basis is linearly dependent")
 
     def coords(m: Matrix) -> Vector:
+        # the pivot entries are m's coordinates in the RREF basis, and trans @ flat is that basis
         v = m.flatten()
-        coeffs_red = [v[p] for p in pivots]
-        # coords in the original basis = coeffs_red @ trans (rows of trans map red back)
-        out = [Q(0)] * len(mats)
-        for c, trow in zip(coeffs_red, trans.entries):
-            if c != 0:
-                out = [x + c * t for x, t in zip(out, trow)]
-        # exactness check
-        recon = [Q(0)] * (dim_v * dim_v)
-        for c, mm in zip(out, mats):
-            if c != 0:
-                recon = [x + c * y for x, y in zip(recon, mm.flatten())]
-        if tuple(recon) != v:
+        (out,) = (Matrix((tuple(v[p] for p in pivots),)) @ trans).entries
+        if Matrix.combination(zip(out, mats), dim_v, dim_v) != m:
             raise ValueError("matrix span is not closed under the bracket")
-        return tuple(out)
+        return out
 
     brackets = {}
     for i in range(len(mats)):
@@ -329,7 +317,7 @@ def algebra_from_matrix_basis(name: str, mats: Sequence[Matrix]) -> tuple[LieAlg
 
 def algebra_to_json(alg: LieAlgebra) -> dict:
     entries = []
-    for (i, j), terms in sorted(alg.table.items()):
+    for (i, j), terms in sorted(alg.brackets):
         entries.append({"i": i + 1, "j": j + 1, "terms": [[k + 1, rat_str(c)] for k, c in terms]})
     return {"name": alg.name, "dim": alg.dim, "basis": list(alg.basis_names), "brackets": entries}
 

@@ -76,6 +76,17 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """Row with column c cleared against the pivot row prow, made primitive.
+
+    The result is a/g * row - f/g * prow for a = prow[c], f = row[c] and
+    g = gcd(a, f), divided by its content, so the entries stay small.
+    """
+    g = math.gcd(prow[c], row[c])
+    ag, fg = prow[c] // g, row[c] // g
+    return _primitive([ag * x - fg * y for x, y in zip(row, prow)])
+
+
 def _fraction_row(row: Sequence[int], d: int) -> Vector:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
@@ -86,8 +97,7 @@ def _rref_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
     Returns the nonzero rows of the reduced row-echelon form, each as a
     primitive integer row (the RREF row times its pivot entry), and their
     0-based pivot columns. Rows are cleared of denominators once; every
-    elimination step cross-multiplies by a/g and f/g and divides the result
-    by its content, so the entries stay small.
+    elimination step is one `_eliminate`.
     """
     work = [_primitive(r) for r in _clear_denominators(rows)[0] if any(r)]
     pivots: list[int] = []
@@ -98,13 +108,9 @@ def _rref_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
             continue
         work[r], work[piv] = work[piv], work[r]
         prow = work[r]
-        a = prow[c]
         for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                g = math.gcd(a, f)
-                ag, fg = a // g, f // g
-                work[i] = _primitive([ag * x - fg * y for x, y in zip(row, prow)])
+            if row[c] and i != r:
+                work[i] = _eliminate(row, prow, c)
         pivots.append(c)
         if len(pivots) == len(work):
             break
@@ -160,17 +166,6 @@ class Matrix:
         return Matrix(data)
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(((_ZERO,) * cols,) * rows)
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(tuple(std_basis_vec(n, i) for i in range(n)))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
-
-    @staticmethod
     def combination(terms: Iterable[tuple[Fraction, "Matrix"]], rows: int, cols: int) -> "Matrix":
         """The sum of c * M over the (c, M) terms, every M of shape rows x cols."""
         terms = [(rat(c), m) for c, m in terms if c]
@@ -184,15 +179,6 @@ class Matrix:
                 for j, x in srow:
                     arow[j] += f * x
         return Matrix(tuple(_fraction_row(r, den) for r in acc))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix.combination(((1, self), (1, other)), self.rows, self.cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix.combination(((1, self), (-1, other)), self.rows, self.cols)
-
-    def scale(self, c: Fraction) -> "Matrix":
-        return Matrix.combination(((c, self),), self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -314,11 +300,8 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
         residual = _clear_denominators([v])[0][0]
         for row, piv in zip(self._int_basis, self.pivot_columns):
-            f = residual[piv]
-            if f:
-                g = math.gcd(row[piv], f)
-                ag, fg = row[piv] // g, f // g
-                residual = _primitive([ag * x - fg * y for x, y in zip(residual, row)])
+            if residual[piv]:
+                residual = _eliminate(residual, row, piv)
         return not any(residual)
 
 

@@ -119,6 +119,13 @@ class TestBound:
 HEIS_ALGEBRA = {"name": "h", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"]]}]}
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, data",
     [
@@ -127,17 +134,43 @@ HEIS_ALGEBRA = {"name": "h", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [[
         ("bound", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1/0"]]}]}),
         ("bound", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 4, "terms": [[3, "1"]]}]}),
         ("decompose", HEIS_ALGEBRA),
+        ("bound", {"dim": 0}),
+        ("analyze", {"dim": -2}),
+        ("decompose", {"algebra": {"dim": 0}, "dimV": 1, "matrices": []}),
     ],
-    ids=["missing-dim", "top-level-list", "zero-denominator", "index-out-of-range", "algebra-to-decompose"],
+    ids=[
+        "missing-dim",
+        "top-level-list",
+        "zero-denominator",
+        "index-out-of-range",
+        "algebra-to-decompose",
+        "dim-0",
+        "negative-dim",
+        "dim-0-representation",
+    ],
 )
 def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    code, _, err = run(capsys, command, str(path))
-    assert code == 1
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert_one_error_line(*run(capsys, command, str(path)))
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["family", "nap", "--a", "0", "--p", "2", "-o", "{tmp}"], None),
+        (
+            ["bound", "{algebra}", "--filtration", "{input}"],
+            {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1]]], "p0": 1.5},
+        ),
+    ],
+    ids=["family-parameter-below-1", "non-integer-p0"],
+)
+def test_malformed_argument_is_one_error_line(tmp_path, capsys, heis_files, argv, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    fields = {"tmp": tmp_path, "algebra": heis_files[0], "input": path}
+    assert_one_error_line(*run(capsys, *(arg.format(**fields) for arg in argv)))
 
 
 FUZZ_BASES = [

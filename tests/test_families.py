@@ -48,12 +48,12 @@ def test_heisenberg_matches_nap_1_2_up_to_basis_order():
     # nap basis (E12, E13, E23) maps to the Heisenberg basis (x, z, y)
     perm = [0, 2, 1]
     mapped = {}
-    for (i, j), terms in nap.table.items():
+    for (i, j), terms in nap.brackets:
         pi, pj, sign = perm[i], perm[j], 1
         if pi > pj:
             pi, pj, sign = pj, pi, -1
         mapped[(pi, pj)] = tuple(sorted((perm[k], sign * c) for k, c in terms))
-    assert mapped == {k: tuple(sorted(v)) for k, v in heis.table.items()}
+    assert mapped == {k: tuple(sorted(v)) for k, v in heis.brackets}
 
 
 def test_heisenberg_2_structure():
@@ -65,7 +65,7 @@ def test_heisenberg_2_structure():
 
 def test_abelian_has_no_brackets():
     alg, rep = make_abelian(4)
-    assert not alg.table
+    assert not alg.brackets
     assert rep.dimV == 5
 
 

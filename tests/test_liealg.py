@@ -48,11 +48,14 @@ def dense_rational_algebra(seed: int) -> tuple[LieAlgebra, Representation]:
     """
     _, rep = random_upper_triangular_subalgebra(seed)
     mats = rep.matrices
-    rebased = []
-    for i, m in enumerate(mats):
-        for j in range(i + 1, len(mats)):
-            m = m + mats[j].scale(Q(j - i, 2 * j + 3) * (-1) ** j)
-        rebased.append(m)
+    rebased = [
+        Matrix.combination(
+            [(1, m)] + [(Q(j - i, 2 * j + 3) * (-1) ** j, mats[j]) for j in range(i + 1, len(mats))],
+            rep.dimV,
+            rep.dimV,
+        )
+        for i, m in enumerate(mats)
+    ]
     return algebra_from_matrix_basis(f"dense_{seed}", rebased)
 
 
@@ -124,10 +127,10 @@ class TestBracket:
 
     def test_adjoint_table_is_antisymmetric(self, dense):
         alg, _ = dense
-        for (i, j), terms in alg.table.items():
+        for (i, j), terms in alg.brackets:
             assert alg.ad[i][j] == terms
             assert alg.ad[j][i] == tuple((k, -c) for k, c in terms)
-        assert sum(len(row) for row in alg.ad) == 2 * len(alg.table)
+        assert sum(len(row) for row in alg.ad) == 2 * len(alg.brackets)
 
 
 class TestSeriesAndCenter:
@@ -248,18 +251,18 @@ class TestRepresentations:
 
     def test_homomorphism_failure_detected(self, heis):
         alg, rep = heis
-        bad = Representation(alg, rep.dimV, rep.matrices[:2] + (Matrix.zeros(3, 3),))
+        bad = Representation(alg, rep.dimV, rep.matrices[:2] + (Matrix.from_rows([[0] * 3] * 3),))
         assert not validate_representation(bad).ok
 
     def test_non_nilpotent_matrix_detected(self, heis):
         alg, _ = heis
-        mats = tuple(Matrix.identity(3) for _ in range(3))
+        mats = tuple(Matrix(Subspace.full(3).basis) for _ in range(3))
         report = validate_representation(Representation(alg, 3, mats))
         assert any("nilpotent" in v for v in report.violations)
 
     def test_zero_rep_not_faithful(self, heis):
         alg, _ = heis
-        rep = Representation(alg, 2, tuple(Matrix.zeros(2, 2) for _ in range(3)))
+        rep = Representation(alg, 2, tuple(Matrix.from_rows([[0] * 2] * 2) for _ in range(3)))
         assert not is_faithful(rep)
 
 
@@ -308,7 +311,7 @@ def test_bracket_matches_structure_constant_definition(dense, data):
     v = data.draw(st.lists(rationals, min_size=alg.dim, max_size=alg.dim))
     # sum over i < j of (u_i v_j - u_j v_i) c_ij^k, straight from the table
     expected = [Q(0)] * alg.dim
-    for (i, j), terms in alg.table.items():
+    for (i, j), terms in alg.brackets:
         for k, c in terms:
             expected[k] += (u[i] * v[j] - u[j] * v[i]) * c
     assert bracket(alg, u, v) == tuple(expected)

@@ -1,0 +1,44 @@
+"""The scripts under scripts/ use the public API, which no other test runs them against."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("family_bounds.py",), ("closed_bound_check.py", "30", "1"), ("closed_bound_check.py", "--worst-case", "10")],
+    ids=["family-bounds", "closed-bound-random", "closed-bound-worst-case"],
+)
+def test_script_runs(args):
+    result = run_script(*args)
+    assert result.returncode == 0, result.stderr
+    if "--worst-case" in args:
+        for line in ("first_bound violations: 0", "second_bound violations: 0", "second_bound below first_bound: 0"):
+            assert line in result.stdout.splitlines()
+
+
+def test_closed_bound_check_fails_on_a_violation(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("closed_bound_check", ROOT / "scripts" / "closed_bound_check.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = script.second_bound
+    # the bound for a much larger n1 exceeds r0_min
+    monkeypatch.setattr(script, "second_bound", lambda p0, n1, np0: real(p0, n1 + 1000, np0))
+    monkeypatch.setattr(sys, "argv", ["closed_bound_check.py", "20", "0"])
+    assert script.main() == 1
+    assert "second_bound violations: 0" not in capsys.readouterr().out
