@@ -47,16 +47,6 @@ class BoundProblem:
         if any(self.n[k] < self.n[k + 1] for k in range(self.p - 1)):
             raise ValueError("chain dimensions must be weakly decreasing")
 
-    @staticmethod
-    def stripped(p0: int, dims: tuple[int, ...]) -> "BoundProblem":
-        """Strip trailing zero dimensions, reducing p (and p0 if needed)."""
-        dims = tuple(dims)
-        while dims and dims[-1] == 0:
-            dims = dims[:-1]
-        if not dims:
-            raise ValueError("all chain dimensions are zero")
-        return BoundProblem(len(dims), min(p0, len(dims)), dims)
-
 
 @dataclass(frozen=True)
 class BoundSolution:
@@ -327,8 +317,7 @@ def lower_bound_report(alg: LieAlgebra, filtration: Filtration | None = None) ->
     per_p0 = []
     best = 0
     for p0 in admissible:
-        prob = BoundProblem.stripped(p0, dims)
-        sol = solve_exact(prob)
+        sol = solve_exact(BoundProblem(len(dims), p0, dims))
         per_p0.append(
             {"p0": p0, "r0_min": sol.r0_min, "witness": list(sol.witness), **closed_form_fields(p0, dims)}
         )

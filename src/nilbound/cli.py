@@ -95,12 +95,15 @@ def cmd_family(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     out = Path(args.output) if args.output else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
     base = alg.name.translate(str.maketrans({"{": "", "}": "", ",": "_"}))
     alg_path = out / f"{base}.algebra.json"
     rep_path = out / f"{base}.representation.json"
-    alg_path.write_text(json.dumps(algebra_to_json(alg), indent=2) + "\n")
-    rep_path.write_text(json.dumps(representation_to_json(rep), indent=2) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        alg_path.write_text(json.dumps(algebra_to_json(alg), indent=2) + "\n")
+        rep_path.write_text(json.dumps(representation_to_json(rep), indent=2) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write to {out}: {exc}") from exc
     _emit({"algebra_file": str(alg_path), "representation_file": str(rep_path), "dim": alg.dim, "dimV": rep.dimV})
     return 0
 

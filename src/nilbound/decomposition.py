@@ -8,8 +8,10 @@ deepest level upward. The output partition, vectors and subspace grid feed
 the adapted basis, the block-structure verification and the integer profile
 used by the bound engine.
 
-Operators live in End(V) as row-major flattened vectors of length dimV^2.
-Rank-vector selection is randomized (deterministic per seed); every
+Operators live in End(V) as row-major flattened vectors of length dimV^2;
+the basis operators of a subspace are its stored primitive integer rows,
+and the rank vectors are integer vectors, so images and spans stay on
+integers. Rank-vector selection is randomized (deterministic per seed); every
 consequence of genericity is afterwards certified exactly by
 verify_decomposition.
 """
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
+from typing import Sequence
 
 from nilbound.bounds import BoundProblem, is_feasible
 from nilbound.linalg import (
     Matrix,
-    Q,
     Subspace,
-    Vector,
     complement_extending,
     contains,
     intersect,
@@ -65,24 +67,24 @@ class OperatorChain:
         return len(self.levels)
 
 
-def _operators(sub: Subspace, n: int) -> list[Matrix]:
-    """The basis of a subspace of End(V) as n x n matrices."""
-    return [Matrix.unflatten(row, n, n) for row in sub.basis]
+def _images(ops: Sequence[Sequence[int]], n: int, v: Sequence[int]) -> list[list[int]]:
+    """T(v) for each operator T, given as a flattened integer n x n matrix."""
+    return [[sum(map(mul, op[i:i + n], v)) for i in range(0, n * n, n)] for op in ops]
 
 
 def chain_from_representation(rep: Representation, filt: Filtration) -> OperatorChain:
     """The image chain rho(n_p) <= ... <= rho(n_1) inside End(V)."""
     amb = rep.dimV ** 2
-    levels = tuple(span([rep.rho(x).flatten() for x in sub.basis], amb) for sub in filt.chain)
+    levels = tuple(span([rep.rho(x).flatten() for x in sub.rows], amb) for sub in filt.chain)
     return OperatorChain(rep.dimV, levels)
 
 
-def _image_dims(level_ops: list[list[Matrix]], n: int, v: Vector) -> tuple[int, ...]:
-    """dim(T_k . v) for each level, given as its basis operators."""
-    return tuple(span([op.apply(v) for op in ops], n).dim for ops in level_ops)
+def _image_dims(levels: Sequence[Subspace], n: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """dim(T_k . v) for each level."""
+    return tuple(span(_images(lvl.rows, n, v), n).dim for lvl in levels)
 
 
-def find_rank_vector(chain: OperatorChain, rng: random.Random) -> tuple[Vector, tuple[int, ...]]:
+def find_rank_vector(chain: OperatorChain, rng: random.Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sample a vector achieving the generic maximum of dim T_k . v at every level.
 
     Integer coordinates are drawn from [-M, M] with M = 16, doubling each
@@ -92,19 +94,16 @@ def find_rank_vector(chain: OperatorChain, rng: random.Random) -> tuple[Vector, 
     from verify_decomposition, not from this sampler.
     """
     n = chain.space_dim
-    level_ops = [_operators(lvl, n) for lvl in chain.levels]
     bound = 16
     for _ in range(64):
-        batch = [
-            tuple(Q(rng.randint(-bound, bound)) for _ in range(n)) for _ in range(8)
-        ]
-        tuples = [_image_dims(level_ops, n, v) for v in batch]
+        batch = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(8)]
+        tuples = [_image_dims(chain.levels, n, v) for v in batch]
         best = tuple(max(t[k] for t in tuples) for k in range(chain.p))
         winner = next((v for v, t in zip(batch, tuples) if t == best), None)
         if winner is not None:
-            extras = [tuple(Q(rng.randint(-bound, bound)) for _ in range(n)) for _ in range(2)]
+            extras = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(2)]
             if all(
-                all(d <= b for d, b in zip(_image_dims(level_ops, n, e), best))
+                all(d <= b for d, b in zip(_image_dims(chain.levels, n, e), best))
                 for e in extras
             ):
                 return winner, best
@@ -115,7 +114,7 @@ def find_rank_vector(chain: OperatorChain, rng: random.Random) -> tuple[Vector, 
 @dataclass(frozen=True)
 class Decomposition:
     partition: tuple[int, ...]  # s_1 >= ... >= s_p > 0
-    vectors: tuple[Vector, ...]  # v_1 ... v_{s_1}
+    vectors: tuple[tuple[int, ...], ...]  # v_1 ... v_{s_1}
     grid: dict  # (k, j) 1-based -> Subspace of End(V)
     seed: int
     chain: OperatorChain
@@ -134,14 +133,13 @@ class Decomposition:
         return tuple(self.grid[(k, 1)].dim for k in range(1, self.p + 1))
 
 
-def _annihilator(level: Subspace, n: int, v: Vector) -> Subspace:
+def _annihilator(level: Subspace, n: int, v: tuple[int, ...]) -> Subspace:
     """{T in level : T(v) = 0} as a subspace of End(V)."""
     if level.dim == 0:
         return level
-    ops = _operators(level, n)
-    cols = [op.apply(v) for op in ops]
-    coeff_kernel = kernel_basis(Matrix.from_rows([[c[i] for c in cols] for i in range(n)]))
-    return span([Matrix.combination(zip(cs, ops), n, n).flatten() for cs in coeff_kernel.basis], n * n)
+    coeff_kernel = kernel_basis(Matrix(tuple(zip(*_images(level.rows, n, v)))))
+    columns = list(zip(*level.rows))
+    return span([[sum(map(mul, cs, col)) for col in columns] for cs in coeff_kernel.rows], n * n)
 
 
 def decompose(rep: Representation, filt: Filtration, seed: int = 0) -> Decomposition:
@@ -163,7 +161,7 @@ def decompose_chain(chain: OperatorChain, p0: int, seed: int = 0) -> Decompositi
     s = [0] * (p + 1)  # 1-based
     levels = list(chain.levels)  # current R_k, 1-based via levels[k-1]
     q = p
-    vectors: list[Vector] = []
+    vectors: list[tuple[int, ...]] = []
     grid: dict[tuple[int, int], Subspace] = {}
     i = 0
     while True:
@@ -218,7 +216,7 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
     for k in range(1, p + 1):
         pieces = [dec.grid[(k, j)] for j in range(1, s[k - 1] + 1)]
         level = chain.levels[k - 1]
-        total = span([row for piece in pieces for row in piece.basis], amb)
+        total = span([row for piece in pieces for row in piece.rows], amb)
         if total != level or sum(piece.dim for piece in pieces) != level.dim:
             report.failures.append(f"grid row {k} is not a direct-sum decomposition of T_{k}")
         if k < p:
@@ -228,29 +226,28 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
 
     for k in range(1, p + 1):
         for j in range(1, s[k - 1] + 1):
-            piece = dec.grid[(k, j)]
-            ops = _operators(piece, n)
-            if span([op.apply(dec.vectors[j - 1]) for op in ops], n).dim != piece.dim:
+            ops = dec.grid[(k, j)].rows
+            if span(_images(ops, n, dec.vectors[j - 1]), n).dim != len(ops):
                 report.failures.append(f"dim T_({k},{j}).v_{j} != dim T_({k},{j})")
             if j == 1:
                 continue
-            whole = span([col for op in ops for col in zip(*op.entries)], n)  # T_(k,j).V
+            whole = span([op[c::n] for op in ops for c in range(n)], n)  # T_(k,j).V, from the columns
             for i in range(1, j):
                 vi = dec.vectors[i - 1]
-                if any(any(op.apply(vi)) for op in ops):
+                if any(map(any, _images(ops, n, vi))):
                     report.failures.append(f"T_({k},{j}).v_{i} != 0 for i = {i} < j = {j}")
-                target = span([op.apply(vi) for op in _operators(dec.grid[(k, i)], n)], n)
+                target = span(_images(dec.grid[(k, i)].rows, n, vi), n)
                 if not contains(target, whole):
                     report.failures.append(f"T_({k},{j}).V is not inside T_({k},{i}).v_{i}")
 
     # moreover clause: needs nilpotent operators and [T_1, T_{p0}] = 0
-    t1_ops = _operators(chain.levels[0], n)
-    tp0_ops = _operators(chain.levels[p0 - 1], n)
+    t1_ops = [Matrix.unflatten(op, n, n) for op in chain.levels[0].rows]
+    tp0_ops = [Matrix.unflatten(op, n, n) for op in chain.levels[p0 - 1].rows]
     if all(op.is_nilpotent() for op in t1_ops) and all(
         a.commutator(b).is_zero() for a in t1_ops for b in tp0_ops
     ):
         report.moreover_checked = True
-        img = span([op.apply(dec.vectors[0]) for op in _operators(dec.grid[(1, 1)], n)], n)
+        img = span(_images(dec.grid[(1, 1)].rows, n, dec.vectors[0]), n)
         v0 = span(dec.vectors[: s[p0 - 1]], n)
         if intersect(img, v0).dim != 0:
             report.failures.append("T_(1,1).v_1 meets span{v_1..v_{s_p0}} nontrivially")
@@ -261,7 +258,7 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
 class AdaptedBasis:
     r: tuple[int, ...]  # r_k = dim T_{k,1}
     q: int
-    basis_vectors: tuple[Vector, ...]  # ordered basis B of V
+    basis_vectors: tuple[tuple[int, ...], ...]  # ordered basis B of V
 
 
 def build_adapted_basis(dec: Decomposition) -> AdaptedBasis:
@@ -272,26 +269,24 @@ def build_adapted_basis(dec: Decomposition) -> AdaptedBasis:
     r = dec.rank_dims()
 
     # operator basis adapted to the first grid column, deepest level first
-    flat_ops: list[Vector] = []
+    flat_ops: list[tuple[int, ...]] = []
     current = Subspace.zero(amb)
     for k in range(p, 0, -1):
-        for row in dec.grid[(k, 1)].basis:
+        for row in dec.grid[(k, 1)].rows:
             if not current.contains_vector(row):
                 flat_ops.append(row)
                 current = span(flat_ops, amb)
         if current.dim != r[k - 1]:
             raise ValueError(f"adapted operator basis fails at level {k}")
-    ops = [Matrix.unflatten(f, n, n) for f in flat_ops]
 
-    v1 = dec.vectors[0]
-    images = [op.apply(v1) for op in ops]
+    images = [tuple(img) for img in _images(flat_ops, n, dec.vectors[0])]
     s_p0 = dec.partition[dec.p0 - 1]
     tail = list(dec.vectors[:s_p0])
     partial = span(images + tail, n)
     if partial.dim != r[0] + s_p0:
         raise ValueError("degenerate complement: images and rank vectors are dependent")
     w_space = complement_extending(Subspace.full(n), partial, Subspace.zero(n))
-    ws = list(w_space.basis)
+    ws = list(w_space.rows)
     basis = tuple(images + ws + tail)
     if span(basis, n).dim != n:
         raise ValueError("adapted family is not a basis of V")
@@ -330,7 +325,7 @@ def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
     for k in range(1, p + 1):
         below = range(r_of(k), r[0])  # rows of the top band below r_k
         for j in range(1, s[k - 1] + 1):
-            for idx, row in enumerate(dec.grid[(k, j)].basis):
+            for idx, row in enumerate(dec.grid[(k, j)].rows):
                 entries = (change_inv @ Matrix.unflatten(row, n, n) @ change).entries
 
                 def nonzero(rows, cols) -> bool:
@@ -381,8 +376,7 @@ def extract_profile(dec: Decomposition) -> tuple[int, ...]:
     if profile[0] < 1 or profile[p] < 1 or sum(profile) != dim_v:
         raise AssertionError(f"profile {profile} violates shape constraints")
     dims = tuple(lvl.dim for lvl in dec.chain.levels)
-    prob = BoundProblem.stripped(dec.p0, dims)
-    if not is_feasible(prob, profile[: prob.p + 1]):
+    if not is_feasible(BoundProblem(p, dec.p0, dims), profile):
         raise AssertionError(f"profile {profile} infeasible for the induced bound problem")
     return profile
 

@@ -1,12 +1,13 @@
 """Exact rational matrices and canonical (reduced row-echelon) subspaces.
 
-Every value that crosses this module's boundary is a `fractions.Fraction`.
-Inside, a block of rows is scaled once to integers over one common
-denominator, and elimination and matrix products run on Python integers;
-each output entry becomes a `Fraction` once, at the end. Nothing in here
-touches floating point, so rank, kernel and inclusion tests are exact and
-deterministic. Subspaces are kept in RREF so equality and containment are
-syntactic.
+`Matrix` entries are `fractions.Fraction`s; a product, an image or a linear
+combination is computed on integer numerators over one common denominator,
+and each output entry becomes a `Fraction` once, at the end. A `Subspace`
+stores integers: each RREF row scaled to a primitive integer row with a
+positive pivot entry, so equality is a dataclass comparison and containment
+a residue test; its `Fraction` basis is a view built on demand. Inputs may
+be ints or Fractions. Nothing in here touches floating point, so rank,
+kernel and inclusion tests are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ def vec(xs: Iterable) -> Vector:
     return tuple(map(rat, xs))
 
 
-def std_basis_vec(n: int, i: int) -> Vector:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
-
-
 class DimensionMismatch(ValueError):
     pass
 
@@ -91,15 +88,15 @@ def _fraction_row(row: Sequence[int], d: int) -> Vector:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
-def _rref_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan; the one elimination routine of the module.
+def _rref_rows(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows; the one elimination routine of the module.
 
     Returns the nonzero rows of the reduced row-echelon form, each as a
-    primitive integer row (the RREF row times its pivot entry), and their
-    0-based pivot columns. Rows are cleared of denominators once; every
-    elimination step is one `_eliminate`.
+    primitive integer row with a positive pivot entry (the RREF row times
+    that entry), and their 0-based pivot columns. Every elimination step is
+    one `_eliminate`.
     """
-    work = [_primitive(r) for r in _clear_denominators(rows)[0] if any(r)]
+    work = [_primitive(r) for r in rows if any(r)]
     pivots: list[int] = []
     for c in range(len(work[0]) if work else 0):
         r = len(pivots)
@@ -114,7 +111,7 @@ def _rref_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
         pivots.append(c)
         if len(pivots) == len(work):
             break
-    return work[: len(pivots)], pivots
+    return [r if r[c] > 0 else [-x for x in r] for r, c in zip(work, pivots)], pivots
 
 
 def _unit_rows(rows: list[list[int]], pivots: list[int]) -> tuple[Vector, ...]:
@@ -232,7 +229,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
 
     Returns (R, rank, pivot_columns); pivot columns are 1-based.
     """
-    rows, pivots = _rref_rows(m.entries)
+    rows, pivots = _rref_rows(_clear_denominators(m.entries)[0])
     zero_rows = ((_ZERO,) * m.cols,) * (m.rows - len(pivots))
     return Matrix(_unit_rows(rows, pivots) + zero_rows), len(pivots), [c + 1 for c in pivots]
 
@@ -246,7 +243,8 @@ def rref_with_transform(m: Matrix) -> tuple[Matrix, Matrix, int, list[int]]:
     n, cols = m.rows, m.cols
     if not n:
         return m, Matrix(()), 0, []
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.entries)]
+    ints, d = _clear_denominators(m.entries)
+    aug = [r + [d * (i == j) for j in range(n)] for i, r in enumerate(ints)]
     rows, all_pivots = _rref_rows(aug)
     pivots = [c for c in all_pivots if c < cols]
     red = _unit_rows(rows, all_pivots)
@@ -264,54 +262,58 @@ def invert(m: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of k^n in canonical form: basis rows in RREF.
+    """Linear subspace of k^n in canonical form.
 
-    Canonicality makes equality a dataclass comparison and containment a
+    Row i of `rows` is the i-th RREF basis row scaled to a primitive integer
+    row whose entry at `pivots[i]`, its first nonzero one, is positive. That
+    form is unique, so equality is a dataclass comparison and containment a
     row-reduction residue test.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        """The RREF basis rows as Fractions."""
+        return _unit_rows(self.rows, self.pivots)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple(std_basis_vec(ambient_dim, i) for i in range(ambient_dim)))
+        rows = tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
+        return Subspace(ambient_dim, rows, tuple(range(ambient_dim)))
 
-    @cached_property
-    def pivot_columns(self) -> tuple[int, ...]:
-        """0-based pivot column of each basis row."""
-        return tuple(next(j for j, x in enumerate(r) if x != 0) for r in self.basis)
+    def _residual(self, row: Sequence[int]) -> Sequence[int]:
+        """An integer row reduced against the basis; zero iff the row lies in the subspace."""
+        for prow, c in zip(self.rows, self.pivots):
+            if row[c]:
+                row = _eliminate(row, prow, c)
+        return row
 
-    @cached_property
-    def _int_basis(self) -> list[list[int]]:
-        """The basis rows as primitive integer rows."""
-        return [_primitive(r) for r in _clear_denominators(self.basis)[0]]
-
-    def contains_vector(self, v: Vector) -> bool:
+    def contains_vector(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        residual = _clear_denominators([v])[0][0]
-        for row, piv in zip(self._int_basis, self.pivot_columns):
-            if residual[piv]:
-                residual = _eliminate(residual, row, piv)
-        return not any(residual)
+        return not any(self._residual(_clear_denominators([v])[0][0]))
 
 
-def _canonical(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, _unit_rows(*_rref_rows(rows)))
+def _canonical(rows: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
+    """The span of integer rows, all of length ambient_dim."""
+    reduced, pivots = _rref_rows(rows)
+    return Subspace(ambient_dim, tuple(map(tuple, reduced)), tuple(pivots))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspace:
-    """Canonical form of the linear hull."""
-    rows = [vec(v) for v in vectors]
+    """Canonical form of the linear hull of vectors of ints or Fractions."""
+    rows = _clear_denominators(vectors)[0]
     if ambient_dim is None:
         if not rows:
             raise ValueError("ambient_dim required for an empty spanning set")
@@ -325,34 +327,35 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     """True iff inner is a subset of outer."""
     if outer.ambient_dim != inner.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return all(outer.contains_vector(v) for v in inner.basis)
+    return not any(any(outer._residual(row)) for row in inner.rows)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return span(list(a.basis) + list(b.basis), a.ambient_dim)
+    return _canonical(a.rows + b.rows, a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """A cap B via the Zassenhaus block trick.
 
     The RREF rows of [[A, A], [B, 0]] with their pivot in the right half
-    are, restricted to it, already the RREF basis of the intersection.
+    are zero in the left half, and their right halves are already the
+    stored rows of the intersection.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     n = a.ambient_dim
-    block = [v + v for v in a.basis] + [v + (_ZERO,) * n for v in b.basis]
-    rows, pivots = _rref_rows(block)
-    return Subspace(n, tuple(_fraction_row(r[n:], r[c]) for r, c in zip(rows, pivots) if c >= n))
+    rows, pivots = _rref_rows([r + r for r in a.rows] + [r + (0,) * n for r in b.rows])
+    k = sum(c < n for c in pivots)  # pivots ascend: the right-half rows come last
+    return Subspace(n, tuple(tuple(r[n:]) for r in rows[k:]), tuple(c - n for c in pivots[k:]))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """The exact null space {x : m @ x = 0} as a canonical subspace."""
     if m.rows == 0 or m.cols == 0:
         return Subspace.full(m.cols)
-    rows, pivots = _rref_rows(m.entries)
+    rows, pivots = _rref_rows(_clear_denominators(m.entries)[0])
     # x_f = 1 on a free column f gives x_p = -R[i][f] = -rows[i][f] / rows[i][p] on pivot
     # column p of row i; scaling by the lcm of the pivot entries keeps this integral
     lead = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
@@ -381,14 +384,15 @@ def complement_extending(ambient: Subspace, inner: Subspace, must_contain: Subsp
     if intersect(must_contain, inner).dim != 0:
         raise ValueError("must_contain meets inner nontrivially")
 
-    chosen = list(must_contain.basis)
+    n = ambient.ambient_dim
+    chosen = list(must_contain.rows)
     current = subspace_sum(must_contain, inner)
     target = ambient.dim
-    for cand in ambient.basis:
+    for cand in ambient.rows:
         if current.dim == target:
             break
-        if not current.contains_vector(cand):
+        if any(current._residual(cand)):
             chosen.append(cand)
-            current = span([*current.basis, cand], ambient.ambient_dim)
+            current = _canonical([*current.rows, cand], n)
     assert current.dim == target, "ambient basis failed to complete the complement"
-    return span(chosen, ambient.ambient_dim)
+    return _canonical(chosen, n)

@@ -1,9 +1,9 @@
-"""Shared generator for random strictly upper triangular matrix subalgebras."""
+"""Shared generators: random strictly upper triangular matrix subalgebras and a dense conjugate of their representation."""
 
 import random
 
 from nilbound.liealg import LieAlgebra, Representation, algebra_from_matrix_basis
-from nilbound.linalg import Matrix, Q, Subspace, span
+from nilbound.linalg import Matrix, Q, Subspace, invert, span
 
 
 def _random_strict_upper(rng: random.Random, n: int) -> Matrix:
@@ -46,3 +46,18 @@ def random_upper_triangular_subalgebra(
         mats = _bracket_closure(gens, dim_v, max_dim)
         if mats:
             return algebra_from_matrix_basis(f"rand_{seed}", mats)
+
+
+def conjugated_dense_representation(seed: int) -> Representation:
+    """The representation of random_upper_triangular_subalgebra(seed) conjugated by a dense S.
+
+    S is a lower times an upper unitriangular rational matrix, so every
+    S X S^-1 is dense with non-integral entries; the algebra is unchanged.
+    """
+    alg, rep = random_upper_triangular_subalgebra(seed)
+    n = rep.dimV
+    lower = Matrix.from_rows([[Q(i - j, j + 2) if i > j else Q(int(i == j)) for j in range(n)] for i in range(n)])
+    upper = Matrix.from_rows([[Q((-1) ** j * (i + j), i + 3) if j > i else Q(int(i == j)) for j in range(n)] for i in range(n)])
+    s = lower @ upper
+    s_inv = invert(s)
+    return Representation(alg, n, tuple(s @ m @ s_inv for m in rep.matrices))

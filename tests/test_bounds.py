@@ -39,10 +39,6 @@ class TestBoundProblem:
         with pytest.raises(ValueError):
             BoundProblem(p, p0, n)
 
-    def test_stripped_removes_zero_tail(self):
-        prob = BoundProblem.stripped(3, (5, 2, 0))
-        assert (prob.p, prob.p0, prob.n) == (2, 2, (5, 2))
-
 
 class TestFeasibility:
     def test_heisenberg_profile(self):

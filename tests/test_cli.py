@@ -1,13 +1,16 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilbound.bounds as bounds
+from conftest import conjugated_dense_representation
 from nilbound.cli import main
 from nilbound.families import make_family, make_heisenberg
 from nilbound.liealg import algebra_from_json, algebra_to_json, representation_to_json
@@ -163,8 +166,9 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data)
             ["bound", "{algebra}", "--filtration", "{input}"],
             {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1]]], "p0": 1.5},
         ),
+        (["family", "nap", "--a", "1", "--p", "2", "-o", "{input}"], None),
     ],
-    ids=["family-parameter-below-1", "non-integer-p0"],
+    ids=["family-parameter-below-1", "non-integer-p0", "family-output-is-a-file"],
 )
 def test_malformed_argument_is_one_error_line(tmp_path, capsys, heis_files, argv, data):
     path = tmp_path / "input.json"
@@ -263,8 +267,61 @@ class TestAnalyze:
         assert summary["center_dim"] == 1
         assert summary["admissible_p0"] == [2]
 
+    def test_bracket_free_algebra_is_fast(self, tmp_path, capsys):
+        # every basis element is central, so no bracket or Jacobi triple needs work
+        path = tmp_path / "free.algebra.json"
+        path.write_text(json.dumps({"name": "free", "dim": 300}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert json.loads(out) == {
+            "algebra": "free",
+            "dim": 300,
+            "nilpotent": True,
+            "series_dims": [300],
+            "center_dim": 300,
+            "default_filtration_dims": [300],
+            "admissible_p0": [1],
+        }
+
+
+# Representations with the first 16 hex digits of the sha256 of their
+# `decompose --seed 0..3` stdout, recorded when subspaces still stored Fraction
+# rows; the integer rows must reproduce them.
+PINNED_DECOMPOSITIONS = {
+    "nap(2,2)": (
+        lambda: make_family("nap", a=2, p=2)[1],
+        ["fe6d1db7d451189b", "8060bf535b50b8aa", "ac637c610720d055", "d64afa8682ccc264"],
+    ),
+    "nabc(1,2,2)": (
+        lambda: make_family("nabc", a=1, b=2, c=2)[1],
+        ["2e0d31f283f0d9a2", "f24c75d3b6166e33", "37160f1b2b1d25e9", "e8c1b8cd675790a4"],
+    ),
+    "heisenberg(2)": (
+        lambda: make_family("heisenberg", m=2)[1],
+        ["18da2ad0c6fac937", "3735bc613b8d2a66", "07490bb6353fc4bf", "a4eef3305b32c468"],
+    ),
+    "conjugated-dense(0)": (
+        lambda: conjugated_dense_representation(0),
+        ["43dc31cccf7e093f", "49f03f2716071d38", "5a575f673027ddfb", "91ea2c706a3c62e9"],
+    ),
+}
+
 
 class TestDecompose:
+    @pytest.mark.parametrize("label", list(PINNED_DECOMPOSITIONS))
+    def test_pinned_stdout(self, tmp_path, capsys, label):
+        build, expected = PINNED_DECOMPOSITIONS[label]
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(representation_to_json(build())))
+        digests = []
+        for seed in range(4):
+            code, out, _ = run(capsys, "decompose", str(path), "--seed", str(seed))
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+        assert digests == expected
+
     def test_heisenberg_seed_42(self, heis_files, capsys):
         _, rep_path = heis_files
         code, out, _ = run(capsys, "decompose", str(rep_path), "--seed", "42")

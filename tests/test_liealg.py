@@ -27,7 +27,7 @@ from nilbound.liealg import (
     validate_filtration,
     validate_representation,
 )
-from nilbound.linalg import Matrix, Q, Subspace, kernel_basis, span, std_basis_vec, vec
+from nilbound.linalg import Matrix, Q, Subspace, kernel_basis, span, vec
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +107,8 @@ class TestValidate:
 class TestBracket:
     def test_heisenberg_x_y_is_z(self, heis):
         alg, _ = heis
-        x = std_basis_vec(3, 0)
-        y = std_basis_vec(3, 1)
-        assert bracket(alg, x, y) == std_basis_vec(3, 2)
+        x, y, z = Subspace.full(3).basis
+        assert bracket(alg, x, y) == z
 
     def test_antisymmetry_on_diagonal(self, heis):
         alg, _ = heis
@@ -150,7 +149,7 @@ class TestSeriesAndCenter:
         alg, _ = heis
         z = center(alg)
         assert z.dim == 1
-        assert z == span([std_basis_vec(3, 2)])
+        assert z == span([(0, 0, 1)])
 
     def test_nabc_232_center(self):
         alg, _ = make_nabc(2, 3, 2)
@@ -163,7 +162,7 @@ class TestSeriesAndCenter:
     def test_center_is_kernel_of_stacked_adjoint(self, dense):
         alg, _ = dense
         n = alg.dim
-        basis = [std_basis_vec(n, i) for i in range(n)]
+        basis = Subspace.full(n).basis
         brackets = [[bracket(alg, basis[i], basis[j]) for j in range(n)] for i in range(n)]
         rows = [[brackets[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
         assert center(alg) == kernel_basis(Matrix.from_rows(rows))

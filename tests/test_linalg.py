@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,7 @@ def test_invert():
 small_rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
 )
+nonzero_rationals = small_rationals.filter(bool)
 
 
 @st.composite
@@ -138,13 +140,15 @@ def test_rref_idempotent(m):
     assert r == r2
 
 
-@given(matrices(max_dim=3), st.randoms(use_true_random=False))
+@given(matrices(max_dim=3), st.randoms(use_true_random=False), st.data())
 @settings(max_examples=40, deadline=None)
-def test_span_is_canonical_under_row_shuffling(m, rnd):
+def test_span_is_canonical_under_row_shuffling(m, rnd, data):
     rows = list(m.entries)
-    shuffled = rows[:]
-    rnd.shuffle(shuffled)
-    assert span(rows, m.cols) == span(shuffled, m.cols)
+    scales = data.draw(st.lists(nonzero_rationals, min_size=len(rows), max_size=len(rows)))
+    moved = [tuple(c * x for x in r) for c, r in zip(scales, rows)]
+    rnd.shuffle(moved)
+    negated = [tuple(-x for x in r) for r in rows]
+    assert span(rows, m.cols) == span(moved, m.cols) == span(negated, m.cols)
 
 
 @given(st.integers(2, 4), st.data())
@@ -182,9 +186,10 @@ def ref_rref(rows):
     return rows, pivots
 
 
-def ref_span(rows, n):
+def ref_span(rows):
+    """The RREF basis rows of the span."""
     reduced, pivots = ref_rref(rows)
-    return Subspace(n, tuple(tuple(r) for r in reduced[: len(pivots)]))
+    return tuple(tuple(r) for r in reduced[: len(pivots)])
 
 
 def ref_kernel(rows, n):
@@ -196,7 +201,7 @@ def ref_kernel(rows, n):
         for i, p in enumerate(pivots):
             v[p] = -reduced[i][f]
         basis.append(v)
-    return ref_span(basis, n)
+    return ref_span(basis)
 
 
 def ref_intersect(a, b):
@@ -204,9 +209,9 @@ def ref_intersect(a, b):
     n = a.ambient_dim
     cols = list(a.basis) + [tuple(-x for x in v) for v in b.basis]
     rows = [[c[i] for c in cols] for i in range(n)]
-    coeffs = ref_kernel(rows, len(cols)).basis if cols else ()
+    coeffs = ref_kernel(rows, len(cols)) if cols else ()
     vecs = [[sum(c * v[i] for c, v in zip(k, a.basis)) for i in range(n)] for k in coeffs]
-    return ref_span(vecs, n)
+    return ref_span(vecs)
 
 
 def ref_complement(ambient, inner, must):
@@ -220,7 +225,7 @@ def ref_complement(ambient, inner, must):
             chosen.append(cand)
             current.append(cand)
             rank += 1
-    return ref_span(chosen, ambient.ambient_dim)
+    return ref_span(chosen)
 
 
 def ref_product(a, b):
@@ -229,6 +234,18 @@ def ref_product(a, b):
 
 def all_fractions(rows):
     return all(type(x) is Fraction for r in rows for x in r)
+
+
+def assert_stored_form(sub):
+    """Each stored row is primitive, its pivot entry is its first nonzero one and positive, and
+    the Fraction basis is each row over its pivot entry."""
+    assert len(sub.rows) == len(sub.pivots) == sub.dim
+    assert list(sub.pivots) == sorted(set(sub.pivots))
+    for row, c, unit in zip(sub.rows, sub.pivots, sub.basis):
+        assert len(row) == sub.ambient_dim and all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
+        assert row[c] > 0 and not any(row[:c])
+        assert unit == tuple(Fraction(x, row[c]) for x in row)
 
 
 wide_entries = st.one_of(
@@ -272,9 +289,11 @@ def test_rref_span_kernel_match_fraction_reference(data):
     assert r == M(reduced) and all_fractions(r.entries)
     assert (rank, pivots1) == (len(pivots), [c + 1 for c in pivots])
     sub = span(m.entries, cols)
-    assert sub == ref_span(m.entries, cols) and all_fractions(sub.basis)
+    assert sub.basis == ref_span(m.entries) and all_fractions(sub.basis)
     ker = kernel_basis(m)
-    assert ker == ref_kernel(m.entries, cols) and all_fractions(ker.basis)
+    assert ker.basis == ref_kernel(m.entries, cols) and all_fractions(ker.basis)
+    assert_stored_form(sub)
+    assert_stored_form(ker)
 
 
 @given(st.data())
@@ -284,7 +303,7 @@ def test_intersect_and_complement_match_fraction_reference(data):
     a = span(data.draw(rational_rows(data.draw(st.integers(0, 6)), n)), n)
     b = span(data.draw(rational_rows(data.draw(st.integers(0, 6)), n)), n)
     meet = intersect(a, b)
-    assert meet == ref_intersect(a, b) and all_fractions(meet.basis)
+    assert meet.basis == ref_intersect(a, b) and all_fractions(meet.basis)
     # inner and must_contain inside a, from combinations of its basis
     def inside(k):
         combos = [[sum(c * v[i] for c, v in zip(cs, a.basis)) for i in range(n)]
@@ -292,12 +311,12 @@ def test_intersect_and_complement_match_fraction_reference(data):
         return span(combos, n)
 
     inner, must = inside(data.draw(st.integers(0, 3))), inside(data.draw(st.integers(0, 2)))
-    if ref_intersect(must, inner).dim:
+    if ref_intersect(must, inner):
         with pytest.raises(ValueError, match="meets inner"):
             complement_extending(a, inner, must)
         return
     comp = complement_extending(a, inner, must)
-    assert comp == ref_complement(a, inner, must) and all_fractions(comp.basis)
+    assert comp.basis == ref_complement(a, inner, must) and all_fractions(comp.basis)
 
 
 @given(st.data())
