@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare the closed-form bounds against the exact solver.
 
-Three things are counted on problems with p0 >= 2 (the one-term bound on
-every problem):
+The solver's total and largest `nodes_explored` are printed, with the
+problem that took the most nodes. Three things are counted on problems
+with p0 >= 2 (the one-term bound on every problem):
   - violations of the one-term bound `first_bound` (expected 0);
   - violations of the certified two-term bound `second_bound` (expected 0);
   - overshoots of the paper's two-term formula `paper_second_bound`, the
@@ -74,10 +75,16 @@ def main() -> int:
         problems = random_problems(count, seed)
         label = f"random problems, seed {seed}"
     total = two_term_total = first_bad = second_bad = dominance_bad = 0
+    nodes = 0
+    most_nodes = (0, None)
     paper_over = []
     for prob in problems:
         total += 1
-        r0 = solve_exact(prob).r0_min
+        sol = solve_exact(prob)
+        r0 = sol.r0_min
+        nodes += sol.nodes_explored
+        if sol.nodes_explored > most_nodes[0]:
+            most_nodes = (sol.nodes_explored, prob)
         fb = first_bound(prob.p0, prob.n[0])
         if fb.exact_ceil() > r0:
             first_bad += 1
@@ -94,6 +101,7 @@ def main() -> int:
         if pb.exact_ceil() > r0:
             paper_over.append((prob, r0, pb.exact_ceil(), pb.case))
     print(f"{total} {label}, {two_term_total} with p0 >= 2")
+    print(f"solver nodes: total {nodes}, max {most_nodes[0]} at {most_nodes[1]}")
     print(f"first_bound violations: {first_bad}")
     print(f"second_bound violations: {second_bad}")
     print(f"second_bound below first_bound: {dominance_bad}")

@@ -13,6 +13,11 @@ radicands. Exact arithmetic does not make a formula a lower bound, though:
 and so certify r0_min, and the search starts from `first_bound` only. The
 paper's two-term formula (`paper_second_bound`, printed in the reports as
 `closed_second`) can exceed r0_min when the n_{p0} constraint is slack.
+
+`solve_exact` cuts a node only when no completion is feasible: on each
+constraint (b) by `_b_upper` (fixed pairs exact, fixed-free pairs at their
+largest coefficient, free-free pairs by Motzkin-Straus), and on each
+constraint (c) once it is exact.
 """
 
 from __future__ import annotations
@@ -222,60 +227,71 @@ def _profiles_lex(s: int, p: int):
     yield from rec([], s)
 
 
-def solve_exact(prob: BoundProblem) -> BoundSolution:
-    """Branch-and-bound over target sums ascending from the certified closed bound.
+def _b_upper(p0: int, a: list[int], pre: list[int], j: int, m: int, k: int) -> int:
+    """Upper bound on the left side of constraint (b) for index k at a search node.
 
-    Within a target sum the search is lexicographic DFS with residual
-    pruning, so the returned witness is the lexicographically smallest
-    optimal profile, matching the brute-force oracle exactly.
+    The node fixes a_0..a_j, j < p0, with pre[t] = a_0 + ... + a_{t-1}; the
+    free slots a_{j+1}, ..., a_{p0-1}, r_{p0} share the remaining sum m. In
+    the slots sigma = (a_0, ..., a_{p0-1}, r_{p0}) the left side sums
+    sigma_i * sigma_l over the pairs i < l <= p0 with i <= p0-k, l-i >= k:
+      - fixed-fixed pairs are known exactly;
+      - a free slot l gets the coefficient a_0 + ... + a_{min(j, l-k, p0-k)}
+        from the fixed slots, largest at l = p0, so at most that times m;
+      - a clique of free slots has them spaced k apart, so at most
+        w = (p0-j-1) // k + 1 of them, and by Motzkin-Straus the free-free
+        pairs sum to at most (1 - 1/w) * m^2 / 2, floored as the side is an
+        integer.
+    At j = p0 - 1 only r_{p0} = m is free and the bound is exact.
+    """
+    bound = pre[min(j, p0 - k) + 1] * m
+    for i in range(j - k + 1):  # fixed-fixed pairs (i, l) with k+i <= l <= j
+        bound += a[i] * (pre[j + 1] - pre[k + i])
+    w = (p0 - j - 1) // k + 1
+    return bound + (w - 1) * m * m // (2 * w)
+
+
+def solve_exact(prob: BoundProblem) -> BoundSolution:
+    """Branch-and-bound over target sums ascending from the `first_bound` ceiling.
+
+    Not from `second_bound`: scripts/closed_bound_check.py certifies that
+    bound against this solver. Within a sum the search is lexicographic DFS,
+    so the witness is the lexicographically smallest optimal profile, as in
+    the brute-force oracle. A node fixing a_0..a_j is cut, for j < p0, when
+    `_b_upper` < n_k for some k; for j >= p0, when a_0 * r_{j+1} < n_{j+1},
+    the constraint (c) just made exact (the later ones are weaker, as
+    r_k <= r_{j+1}; the one for k = p0 is constraint (b) for k = p0).
+    a_p takes the remainder and each leaf is certified by `is_feasible`.
     """
     p, p0, n = prob.p, prob.p0, prob.n
     start = max(2, first_bound(p0, n[0]).exact_ceil())
+    a = [0] * (p + 1)
+    pre = [0] * (p + 1)  # pre[t] = a_0 + ... + a_{t-1}
     nodes = 0
 
-    def search(s: int, prefix: list[int], partial_sum: int):
+    def search(j: int, m: int) -> bool:
         nonlocal nodes
         nodes += 1
-        j = len(prefix) - 1
-        m = s - partial_sum
-        if m < 0 or (j < p and m < 1):
-            return None
-        if j == p and m != 0:
-            return None
-
-        # r_t is forced by (s, prefix) for t <= j+1; later r_t are at most m
-        def r_upper(t: int) -> int:
-            if t > p:
-                return 0
-            if t <= j + 1:
-                return s - sum(prefix[:t])
-            return m
-
-        for k in range(1, p0 + 1):
-            ub = sum((prefix[i] if i <= j else m) * r_upper(k + i) for i in range(p0 - k + 1))
-            if ub < n[k - 1]:
-                return None
-        for k in range(p0, p + 1):
-            if prefix[0] * r_upper(k) < n[k - 1]:
-                return None
-
-        if j == p:
-            a = tuple(prefix)
-            return a if is_feasible(prob, a) else None
-        lo = 0 if j + 1 < p else 1
-        for val in range(lo, m + 1):
-            prefix.append(val)
-            found = search(s, prefix, partial_sum + val)
-            prefix.pop()
-            if found is not None:
-                return found
-        return None
+        if j < p0:
+            for k in range(1, p0 + 1):
+                if _b_upper(p0, a, pre, j, m, k) < n[k - 1]:
+                    return False
+        elif a[0] * m < n[j]:
+            return False
+        if j == p - 1:
+            a[p] = m
+            return is_feasible(prob, a)
+        for val in range(m):
+            a[j + 1] = val
+            pre[j + 2] = pre[j + 1] + val
+            if search(j + 1, m - val):
+                return True
+        return False
 
     for s in range(start, n[0] + 2):
         for a0 in range(1, s):
-            found = search(s, [a0], a0)
-            if found is not None:
-                return BoundSolution(s, found, nodes)
+            a[0] = pre[1] = a0
+            if search(0, s - a0):
+                return BoundSolution(s, tuple(a), nodes)
     raise AssertionError("sweep passed the always-feasible cap sum n1 + 1")
 
 

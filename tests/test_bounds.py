@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from nilbound.bounds import (
     BoundProblem,
+    _b_upper,
+    _suffix_sums,
     first_bound,
     is_feasible,
     lower_bound_report,
@@ -84,6 +86,52 @@ class TestExactSolver:
     def test_abelian_7_lex_smallest_witness(self):
         sol = solve_exact(BoundProblem(1, 1, (7,)))
         assert (sol.r0_min, sol.witness) == (6, (2, 4))
+
+    @pytest.mark.parametrize(
+        "n,r0_min,witness",
+        [
+            ((1000, 300, 50, 10, 3), 49, (8, 8, 8, 8, 8, 9)),
+            ((914, 885, 300, 118, 56), 52, (3, 10, 0, 18, 0, 21)),
+        ],
+    )
+    def test_worst_cases_stay_small(self, n, r0_min, witness):
+        # bounding each variable by the remaining sum alone needs about 10^6 nodes on these
+        sol = solve_exact(BoundProblem(5, 5, n))
+        assert (sol.r0_min, sol.witness) == (r0_min, witness)
+        assert sol.nodes_explored < 10 ** 4
+
+
+def _compositions(m: int, parts: int):
+    if parts == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in _compositions(m - first, parts - 1):
+            yield (first,) + rest
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_b_upper_is_admissible(data):
+    p0 = data.draw(st.integers(1, 5))
+    j = data.draw(st.integers(0, p0 - 1))
+    fixed = data.draw(st.lists(st.integers(0, 12), min_size=j + 1, max_size=j + 1))
+    m = data.draw(st.integers(0, 12))
+    a = fixed + [0] * (p0 - j)
+    pre = [0]
+    for x in a:
+        pre.append(pre[-1] + x)
+    for k in range(1, p0 + 1):
+        # every completion of a_{j+1}, ..., a_{p0-1}, r_{p0} with sum m, as a profile with p = p0
+        most = 0
+        for free in _compositions(m, p0 - j):
+            profile = tuple(fixed) + free
+            r = _suffix_sums(profile)
+            most = max(most, sum(profile[i] * r[k + i] for i in range(p0 - k + 1)))
+        bound = _b_upper(p0, a, pre, j, m, k)
+        assert bound >= most
+        if j == p0 - 1:
+            assert bound == most
 
 
 class TestClosedForms:
@@ -170,8 +218,8 @@ class TestReport:
         assert report["theorem_1_2_value"] == "7.000000"
 
 
-def random_problem(rng: random.Random, max_p: int = 3, max_n1: int = 12) -> BoundProblem:
-    p = rng.randint(1, max_p)
+def random_problem(rng: random.Random, max_p: int = 3, max_n1: int = 12, min_p: int = 1) -> BoundProblem:
+    p = rng.randint(min_p, max_p)
     p0 = rng.randint(1, p)
     n = []
     cur = rng.randint(1, max_n1)
@@ -185,6 +233,15 @@ def random_problem(rng: random.Random, max_p: int = 3, max_n1: int = 12) -> Boun
 @settings(max_examples=60, deadline=None)
 def test_oracle_equivalence_random(seed):
     prob = random_problem(random.Random(seed))
+    brute = solve_bruteforce(prob)
+    exact = solve_exact(prob)
+    assert (exact.r0_min, exact.witness) == (brute.r0_min, brute.witness)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_oracle_equivalence_random_p4_p5(seed):
+    prob = random_problem(random.Random(seed), max_p=5, max_n1=30, min_p=4)
     brute = solve_bruteforce(prob)
     exact = solve_exact(prob)
     assert (exact.r0_min, exact.witness) == (brute.r0_min, brute.witness)

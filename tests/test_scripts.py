@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,9 @@ def run_script(*args):
 def test_script_runs(args):
     result = run_script(*args)
     assert result.returncode == 0, result.stderr
+    if args[0] == "closed_bound_check.py":
+        nodes_line = r"solver nodes: total \d+, max \d+ at BoundProblem\(p=\d+, p0=\d+, n=\([\d, ]+\)\)"
+        assert any(re.fullmatch(nodes_line, line) for line in result.stdout.splitlines())
     if "--worst-case" in args:
         for line in ("first_bound violations: 0", "second_bound violations: 0", "second_bound below first_bound: 0"):
             assert line in result.stdout.splitlines()
