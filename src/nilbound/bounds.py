@@ -327,8 +327,6 @@ def lower_bound_report(alg: LieAlgebra, filtration: Filtration | None = None) ->
         if not report.ok:
             raise ValueError("invalid filtration: " + "; ".join(report.violations))
     admissible = admissible_p0_set(filtration)
-    if not admissible:
-        raise ValueError("filtration has no admissible central index p0")
     dims = filtration.dims
     per_p0 = []
     best = 0

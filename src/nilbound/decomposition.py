@@ -149,7 +149,7 @@ def decompose(rep: Representation, filt: Filtration, seed: int = 0) -> Decomposi
         raise ValueError("invalid representation: " + "; ".join(val.violations))
     if not is_faithful(rep):
         raise FaithfulnessError("representation is not faithful")
-    return decompose_chain(chain_from_representation(rep, filt), p0=filt.p0, seed=seed)
+    return decompose_chain(chain_from_representation(rep, filt), filt.p, seed=seed)
 
 
 def decompose_chain(chain: OperatorChain, p0: int, seed: int = 0) -> Decomposition:

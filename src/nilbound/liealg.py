@@ -22,10 +22,10 @@ from nilbound.linalg import (
     Subspace,
     Vector,
     contains,
+    invert,
     kernel_basis,
     rat,
     rat_str,
-    rref_with_transform,
     span,
     subspace_sum,
     vec,
@@ -54,6 +54,8 @@ class LieAlgebra:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         if basis_names is None:
             basis_names = tuple(f"x{i + 1}" for i in range(dim))
+        elif len(basis_names) != dim:
+            raise ValueError(f"{len(basis_names)} basis names for dimension {dim}")
         clean = {}
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < dim):
@@ -62,6 +64,8 @@ class LieAlgebra:
             for k, _ in terms:
                 if not 0 <= k < dim:
                     raise ValueError(f"0-based bracket target index {k} out of range")
+            if len({k for k, _ in terms}) != len(terms):
+                raise ValueError(f"0-based bracket ({i}, {j}) names one target index twice")
             if terms:
                 clean[(i, j)] = terms
         return LieAlgebra(name, dim, tuple(basis_names), frozenset(clean.items()))
@@ -177,11 +181,10 @@ def center(alg: LieAlgebra) -> Subspace:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Decreasing chain n_1 = n >= ... >= n_p != 0 with [n_i, n_j] <= n_{i+j}."""
+    """Decreasing chain n_1 = n >= ... >= n_p != 0 with [n_i, n_j] <= n_{i+j}, so n_p is central."""
 
     algebra: LieAlgebra
     chain: tuple[Subspace, ...]
-    p0: int
 
     @property
     def p(self) -> int:
@@ -192,25 +195,24 @@ class Filtration:
         return tuple(s.dim for s in self.chain)
 
 
-def make_filtration(alg: LieAlgebra, chain: Sequence[Subspace], p0: int) -> Filtration:
+def make_filtration(alg: LieAlgebra, chain: Sequence[Subspace]) -> Filtration:
     """Build a filtration, stripping trailing zero terms and recomputing p."""
     trimmed = list(chain)
     while trimmed and trimmed[-1].dim == 0:
         trimmed.pop()
     if not trimmed:
         raise ValueError("filtration chain is entirely zero")
-    p0 = min(p0, len(trimmed))
-    return Filtration(alg, tuple(trimmed), p0)
+    return Filtration(alg, tuple(trimmed))
 
 
 def default_filtration(alg: LieAlgebra) -> Filtration:
-    """The centrally augmented lower central series n_k = C^k + z, with p0 = p."""
+    """The centrally augmented lower central series n_k = C^k + z."""
     if not is_nilpotent(alg):
         raise NotNilpotentError(f"algebra {alg.name!r} is not nilpotent")
     z = center(alg)
     series = lower_central_series(alg)
     chain = [subspace_sum(term, z) for term in series]
-    return make_filtration(alg, chain, p0=len(chain))
+    return make_filtration(alg, chain)
 
 
 def admissible_p0_set(filt: Filtration) -> list[int]:
@@ -231,17 +233,13 @@ def validate_filtration(filt: Filtration) -> ValidationReport:
         if not contains(filt.chain[k], filt.chain[k + 1]):
             report.violations.append(f"n_{k + 2} is not contained in n_{k + 1}")
     for i in range(1, p + 1):
-        for j in range(1, p + 1):
+        for j in range(i, p + 1):  # [n_i, n_j] = [n_j, n_i]
             prod = bracket_subspaces(alg, filt.chain[i - 1], filt.chain[j - 1])
             if i + j > p:
                 if prod.dim != 0:
                     report.violations.append(f"[n_{i}, n_{j}] is nonzero but n_{i + j} = 0")
             elif not contains(filt.chain[i + j - 1], prod):
                 report.violations.append(f"[n_{i}, n_{j}] is not contained in n_{i + j}")
-    if not (1 <= filt.p0 <= p):
-        report.violations.append(f"p0 = {filt.p0} out of range 1..{p}")
-    elif not contains(center(alg), filt.chain[filt.p0 - 1]):
-        report.violations.append(f"n_{filt.p0} is not contained in the center")
     return report
 
 
@@ -280,8 +278,7 @@ def validate_representation(rep: Representation) -> ValidationReport:
 
 def is_faithful(rep: Representation) -> bool:
     """Rank test on the stacked coordinate map rho: n -> End(V)."""
-    stacked = Matrix.from_rows([m.flatten() for m in rep.matrices])
-    return span(stacked.entries, rep.dimV ** 2).dim == rep.algebra.dim
+    return span([m.flatten() for m in rep.matrices], rep.dimV ** 2).dim == rep.algebra.dim
 
 
 def algebra_from_matrix_basis(name: str, mats: Sequence[Matrix]) -> tuple[LieAlgebra, Representation]:
@@ -292,10 +289,11 @@ def algebra_from_matrix_basis(name: str, mats: Sequence[Matrix]) -> tuple[LieAlg
     if not mats:
         raise ValueError("empty matrix basis")
     dim_v = mats[0].rows
-    flat = Matrix.from_rows([m.flatten() for m in mats])
-    _, trans, rank, pivots = rref_with_transform(flat)
-    if rank != len(mats):
+    flat = [m.flatten() for m in mats]
+    pivots = span(flat).pivots
+    if len(pivots) != len(mats):
         raise ValueError("matrix basis is linearly dependent")
+    trans = invert(Matrix(tuple(tuple(row[p] for p in pivots) for row in flat)))
 
     def coords(m: Matrix) -> Vector:
         # the pivot entries are m's coordinates in the RREF basis, and trans @ flat is that basis
@@ -332,13 +330,22 @@ def _require_object(data, what: str) -> None:
         raise TypeError(f"{what} must be a JSON object, not {type(data).__name__}")
 
 
+def _require_int(x, what: str) -> int:
+    """x if it is a JSON integer; a float is refused rather than truncated, and a bool is not a number."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
 def algebra_from_json(data: dict) -> LieAlgebra:
     _require_object(data, "an algebra")
-    dim = int(data["dim"])
+    dim = _require_int(data["dim"], "dim")
     brackets = {}
     for entry in data.get("brackets", []):
-        i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-        brackets[(i, j)] = tuple((int(k) - 1, rat(c)) for k, c in entry["terms"])
+        i, j = _require_int(entry["i"], "i") - 1, _require_int(entry["j"], "j") - 1
+        if (i, j) in brackets:
+            raise ValueError(f"bracket ({i + 1}, {j + 1}) is given twice")
+        brackets[(i, j)] = tuple((_require_int(k, "a term index") - 1, rat(c)) for k, c in entry["terms"])
     return LieAlgebra.create(data.get("name", "algebra"), dim, brackets, data.get("basis"))
 
 
@@ -353,7 +360,7 @@ def representation_to_json(rep: Representation) -> dict:
 def representation_from_json(data: dict) -> Representation:
     _require_object(data, "a representation")
     alg = algebra_from_json(data["algebra"])
-    dim_v = int(data["dimV"])
+    dim_v = _require_int(data["dimV"], "dimV")
     mats = tuple(Matrix.from_rows(m) for m in data["matrices"])
     for m in mats:
         if (m.rows, m.cols) != (dim_v, dim_v):

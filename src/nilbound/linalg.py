@@ -234,30 +234,16 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     return Matrix(_unit_rows(rows, pivots) + zero_rows), len(pivots), [c + 1 for c in pivots]
 
 
-def rref_with_transform(m: Matrix) -> tuple[Matrix, Matrix, int, list[int]]:
-    """RREF together with an invertible T such that T @ m = R. Pivots 0-based.
-
-    R and T are the two halves of the RREF of [m | I], which has a pivot in
-    every row; the pivots in the left half are those of m.
-    """
-    n, cols = m.rows, m.cols
-    if not n:
-        return m, Matrix(()), 0, []
-    ints, d = _clear_denominators(m.entries)
-    aug = [r + [d * (i == j) for j in range(n)] for i, r in enumerate(ints)]
-    rows, all_pivots = _rref_rows(aug)
-    pivots = [c for c in all_pivots if c < cols]
-    red = _unit_rows(rows, all_pivots)
-    return Matrix(tuple(r[:cols] for r in red)), Matrix(tuple(r[cols:] for r in red)), len(pivots), pivots
-
-
 def invert(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
+    """The right half of the RREF of [m | I]; its left half is I exactly when m is invertible."""
+    n = m.rows
+    if n != m.cols:
         raise DimensionMismatch("only square matrices are invertible")
-    red, trans, rank, _ = rref_with_transform(m)
-    if rank != m.rows:
+    ints, d = _clear_denominators(m.entries)
+    rows, pivots = _rref_rows([r + [d * (i == j) for j in range(n)] for i, r in enumerate(ints)])
+    if any(c >= n for c in pivots):
         raise ValueError("matrix is singular")
-    return trans
+    return Matrix(tuple(r[n:] for r in _unit_rows(rows, pivots)))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import nilbound.bounds as bounds
 from conftest import conjugated_dense_representation
-from nilbound.cli import main
+from nilbound.cli import build_parser, main
 from nilbound.families import make_family, make_heisenberg
-from nilbound.liealg import algebra_from_json, algebra_to_json, representation_to_json
+from nilbound.liealg import algebra_from_json, algebra_to_json, default_filtration, representation_to_json
 
 
 @pytest.fixture
@@ -67,13 +67,6 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--p", "2", "--p0", "2", "--dims", "9,4")
         assert json.loads(out)["r0_min"] == 6 and code == 0
 
-    def test_brute_flag_agrees(self, capsys):
-        _, out1, _ = run(capsys, "solve", "--p", "1", "--p0", "1", "--dims", "4")
-        _, out2, _ = run(capsys, "solve", "--p", "1", "--p0", "1", "--dims", "4", "--brute")
-        a, b = json.loads(out1), json.loads(out2)
-        assert a["r0_min"] == b["r0_min"] == 4
-        assert a["witness"] == b["witness"]
-
     def test_malformed_dims(self, capsys):
         code, _, err = run(capsys, "solve", "--p", "2", "--p0", "2", "--dims", "3;1")
         assert code == 1
@@ -118,8 +111,22 @@ class TestBound:
         _, out2, _ = run(capsys, "bound", str(alg_path))
         assert out1 == out2
 
+    def test_filtration_file_reports_every_central_term(self, tmp_path, capsys):
+        # the report takes every central term as p0, so a "p0" key changes nothing
+        alg, _ = make_family("nap", a=1, p=3)
+        alg_path = tmp_path / "nap13.algebra.json"
+        alg_path.write_text(json.dumps(algebra_to_json(alg)))
+        code, expected, _ = run(capsys, "bound", str(alg_path))
+        assert code == 0
+        chain = [[list(row) for row in sub.rows] for sub in default_filtration(alg).chain]
+        for doc in ({"chain": chain}, {"chain": chain, "p0": 2}, {"chain": chain, "p0": 7}, chain):
+            path = tmp_path / "filtration.json"
+            path.write_text(json.dumps(doc))
+            assert run(capsys, "bound", str(alg_path), "--filtration", str(path)) == (0, expected, "")
+
 
 HEIS_ALGEBRA = {"name": "h", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"]]}]}
+HEIS_REPRESENTATION = representation_to_json(make_heisenberg(1)[1])
 
 
 def assert_one_error_line(code, out, err):
@@ -140,6 +147,18 @@ def assert_one_error_line(code, out, err):
         ("bound", {"dim": 0}),
         ("analyze", {"dim": -2}),
         ("decompose", {"algebra": {"dim": 0}, "dimV": 1, "matrices": []}),
+        ("analyze", {**HEIS_ALGEBRA, "dim": 3.9}),
+        ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1.7, "j": 2, "terms": [[3, "1"]]}]}),
+        ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3.2, "1"]]}]}),
+        ("analyze", {"dim": True}),
+        ("bound", {**HEIS_ALGEBRA, "dim": 1e400}),
+        ("analyze", {**HEIS_ALGEBRA, "dim": 1e400}),
+        ("decompose", {**HEIS_REPRESENTATION, "algebra": {**HEIS_ALGEBRA, "dim": 1e400}}),
+        ("decompose", {**HEIS_REPRESENTATION, "dimV": 3.5}),
+        ("decompose", {**HEIS_REPRESENTATION, "dimV": 1e400}),
+        ("analyze", {**HEIS_ALGEBRA, "basis": ["x", "y"]}),
+        ("analyze", {**HEIS_ALGEBRA, "brackets": HEIS_ALGEBRA["brackets"] * 2}),
+        ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"], [3, "1"]]}]}),
     ],
     ids=[
         "missing-dim",
@@ -150,6 +169,18 @@ def assert_one_error_line(code, out, err):
         "dim-0",
         "negative-dim",
         "dim-0-representation",
+        "float-dim",
+        "float-index",
+        "float-term-index",
+        "bool-dim",
+        "huge-dim-bound",
+        "huge-dim-analyze",
+        "huge-dim-decompose",
+        "float-dimV",
+        "huge-dimV",
+        "basis-shorter-than-dim",
+        "bracket-pair-twice",
+        "term-target-twice",
     ],
 )
 def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data):
@@ -162,13 +193,10 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data)
     "argv, data",
     [
         (["family", "nap", "--a", "0", "--p", "2", "-o", "{tmp}"], None),
-        (
-            ["bound", "{algebra}", "--filtration", "{input}"],
-            {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1]]], "p0": 1.5},
-        ),
+        (["bound", "{algebra}", "--filtration", "{input}"], {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2}),
         (["family", "nap", "--a", "1", "--p", "2", "-o", "{input}"], None),
     ],
-    ids=["family-parameter-below-1", "non-integer-p0", "family-output-is-a-file"],
+    ids=["family-parameter-below-1", "filtration-not-multiplicative", "family-output-is-a-file"],
 )
 def test_malformed_argument_is_one_error_line(tmp_path, capsys, heis_files, argv, data):
     path = tmp_path / "input.json"
@@ -376,15 +404,15 @@ def is_feasible_off_by_one(prob, a):
 
 
 class TestVerifyPaper:
-    def test_quick_grid_passes(self, capsys):
-        code, out, _ = run(capsys, "verify-paper", "--quick")
+    def test_grid_passes(self, capsys):
+        code, out, _ = run(capsys, "verify-paper")
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 11
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "is_feasible", is_feasible_off_by_one)
-        code, out, _ = run(capsys, "verify-paper", "--quick")
+        code, out, _ = run(capsys, "verify-paper")
         assert code == 2
         assert "FAIL" in out
 
@@ -397,6 +425,28 @@ class TestVerifyPaper:
         assert solve_heisenberg() == (0, 3, [1, 1, 1])
         with monkeypatch.context() as patch:
             patch.setattr(bounds, "is_feasible", is_feasible_off_by_one)
-            assert run(capsys, "verify-paper", "--quick")[0] == 2
+            assert run(capsys, "verify-paper")[0] == 2
         assert solve_heisenberg() == (0, 3, [1, 1, 1])
-        assert run(capsys, "verify-paper", "--quick")[0] == 0
+        assert run(capsys, "verify-paper")[0] == 0
+
+
+# Every settable value of the command line: positionals by name, options by
+# their option strings. A new option is a deliberate edit of this table.
+CLI_SURFACE = {
+    "family": ["tag", "--a", "--b", "--c", "--p", "--m", "--n", "-o/--output"],
+    "solve": ["--p", "--p0", "--dims"],
+    "bound": ["algebra", "--filtration"],
+    "analyze": ["algebra"],
+    "decompose": ["representation", "--seed"],
+    "verify-paper": [],
+}
+
+
+def test_cli_option_surface_is_pinned():
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    surface = {
+        name: ["/".join(a.option_strings) or a.dest for a in sub._actions if a.dest != "help"]
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert sum(map(len, surface.values())) == 16

@@ -206,7 +206,7 @@ def test_chain_rejects_non_nested_levels():
 def test_decompose_chain_grid_partitions_levels(n112_setup):
     rep, filt = n112_setup
     chain = chain_from_representation(rep, filt)
-    dec = decompose_chain(chain, seed=3, p0=filt.p0)
+    dec = decompose_chain(chain, filt.p, seed=3)
     for k in range(1, dec.p + 1):
         total = sum(dec.grid[(k, j)].dim for j in range(1, dec.partition[k - 1] + 1))
         assert total == chain.levels[k - 1].dim

@@ -187,20 +187,20 @@ class TestFiltrations:
         alg, _ = heis
         filt = default_filtration(alg)
         assert filt.dims == (3, 1)
-        assert filt.p0 == 2
+        assert admissible_p0_set(filt)[-1] == filt.p == 2
         assert validate_filtration(filt).ok
 
     def test_nabc_114_default(self):
         alg, _ = make_nabc(1, 1, 4)
         filt = default_filtration(alg)
         assert filt.dims == (9, 4)
-        assert filt.p0 == 2
+        assert admissible_p0_set(filt)[-1] == filt.p == 2
 
     def test_nap_13_default(self):
         alg, _ = make_nap(1, 3)
         filt = default_filtration(alg)
         assert filt.dims == (6, 3, 1)
-        assert filt.p0 == 3
+        assert admissible_p0_set(filt)[-1] == filt.p == 3
 
     def test_non_nilpotent_rejected(self):
         solvable = LieAlgebra.create("solvable", 2, {(0, 1): ((1, 1),)})
@@ -213,7 +213,7 @@ class TestFiltrations:
 
     def test_admissible_p0_abelian_single_level(self):
         alg, _ = make_abelian(4)
-        filt = make_filtration(alg, [Subspace.full(4)], p0=1)
+        filt = make_filtration(alg, [Subspace.full(4)])
         assert admissible_p0_set(filt) == [1]
 
     def test_admissible_p0_nap13(self):
@@ -222,24 +222,26 @@ class TestFiltrations:
 
     def test_constant_chain_fails_multiplicativity(self, heis):
         alg, _ = heis
-        filt = make_filtration(alg, [Subspace.full(3), Subspace.full(3)], p0=2)
+        filt = make_filtration(alg, [Subspace.full(3), Subspace.full(3)])
         report = validate_filtration(filt)
         assert not report.ok
         assert any("n_3" in v for v in report.violations)
 
-    def test_noncentral_p0_rejected(self):
-        alg, _ = make_nap(1, 3)
-        chain = default_filtration(alg).chain
-        filt = make_filtration(alg, chain, p0=2)
-        report = validate_filtration(filt)
-        assert any("center" in v for v in report.violations)
+    def test_violations_list_each_unordered_pair_once(self, heis):
+        alg, _ = heis
+        report = validate_filtration(make_filtration(alg, [Subspace.full(3)] * 3))
+        assert report.violations == [
+            "[n_1, n_3] is nonzero but n_4 = 0",
+            "[n_2, n_2] is nonzero but n_4 = 0",
+            "[n_2, n_3] is nonzero but n_5 = 0",
+            "[n_3, n_3] is nonzero but n_6 = 0",
+        ]
 
     def test_trailing_zeros_stripped(self, heis):
         alg, _ = heis
         chain = list(default_filtration(alg).chain) + [Subspace.zero(3)]
-        filt = make_filtration(alg, chain, p0=3)
+        filt = make_filtration(alg, chain)
         assert filt.p == 2
-        assert filt.p0 == 2
 
 
 class TestRepresentations:
@@ -263,6 +265,16 @@ class TestRepresentations:
         alg, _ = heis
         rep = Representation(alg, 2, tuple(Matrix.from_rows([[0] * 2] * 2) for _ in range(3)))
         assert not is_faithful(rep)
+
+    def test_matrix_basis_rejects_dependent_or_open_spans(self):
+        e12, e21 = Matrix.from_rows([[0, 1], [0, 0]]), Matrix.from_rows([[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="empty"):
+            algebra_from_matrix_basis("none", [])
+        with pytest.raises(ValueError, match="linearly dependent"):
+            algebra_from_matrix_basis("twice", [e12, Matrix.combination([(3, e12)], 2, 2)])
+        # [E_12, E_21] = E_11 - E_22 lies outside span{E_12, E_21}
+        with pytest.raises(ValueError, match="not closed"):
+            algebra_from_matrix_basis("sl2-part", [e12, e21])
 
 
 class TestJsonRoundTrip:

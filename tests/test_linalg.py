@@ -109,6 +109,10 @@ def test_invert():
     assert invert(m) @ m == identity(2)
 
 
+def test_invert_empty_matrix():
+    assert invert(Matrix(())) == Matrix(())
+
+
 small_rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
 )
