@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 input/validation error, 2 internal invariant or
 reproduction failure. Reports go to stdout as JSON; diagnostics to stderr.
 A command takes no value it can derive: `bound` reports every central term
-of the filtration as p0, `solve` runs the exact solver, and `verify-paper`
-the whole reproduction grid.
+of the filtration as p0, `decompose` splits the default filtration, `solve`
+runs the exact solver, and `verify-paper` the whole reproduction grid.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from nilbound.decomposition import (
 )
 from nilbound.families import make_family
 from nilbound.liealg import (
-    NotNilpotentError,
     admissible_p0_set,
     algebra_from_json,
     algebra_to_json,
@@ -68,16 +67,12 @@ def _parse_file(path: str, what: str, parse):
         raise InputError(f"malformed {what} file {path}: {exc}") from exc
 
 
-def _check_algebra(alg) -> None:
-    """Raise an InputError when the algebra fails the Jacobi check."""
+def _load_algebra(path: str):
+    """The algebra in path; one that fails the Jacobi check gives an InputError."""
+    alg = _parse_file(path, "algebra", algebra_from_json)
     report = validate(alg)
     if not report.ok:
         raise InputError("invalid algebra: " + "; ".join(report.violations))
-
-
-def _load_algebra(path: str):
-    alg = _parse_file(path, "algebra", algebra_from_json)
-    _check_algebra(alg)
     return alg
 
 
@@ -174,28 +169,24 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    """decompose checks the representation, and through it the algebra, before the split."""
     rep = _parse_file(args.representation, "representation", representation_from_json)
-    _check_algebra(rep.algebra)
-    filt = default_filtration(rep.algebra)
     try:
-        dec = decompose(rep, filt, seed=args.seed)
+        dec = decompose(rep, seed=args.seed)
     except (ValueError, SamplingBudgetExhausted) as exc:
         raise InputError(str(exc)) from exc
     report = verify_decomposition(dec)
     out = decomposition_to_json(dec, report)
-    if report.ok:
+    ok = report.ok
+    if ok:
         ab = build_adapted_basis(dec)
         blocks = verify_block_structure(ab, dec)
-        profile = extract_profile(dec)
         out["adapted_basis"] = {"r": list(ab.r), "q": ab.q, "size": len(ab.basis_vectors)}
-        out["block_structure_ok"] = blocks.ok
+        out["block_structure_ok"] = ok = blocks.ok
         out["block_failures"] = blocks.failures
-        out["profile"] = list(profile)
-        if not blocks.ok:
-            _emit(out)
-            return 2
+        out["profile"] = list(extract_profile(dec))
     _emit(out)
-    return 0 if report.ok else 2
+    return 0 if ok else 2
 
 
 def _paper_rows():
@@ -261,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, NotNilpotentError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -35,7 +35,7 @@ from nilbound.linalg import (
     rat_str,
     span,
 )
-from nilbound.liealg import Filtration, Representation, is_faithful, validate_representation
+from nilbound.liealg import Filtration, Representation, default_filtration, is_faithful, validate_representation
 
 
 class SamplingBudgetExhausted(RuntimeError):
@@ -118,7 +118,6 @@ class Decomposition:
     grid: dict  # (k, j) 1-based -> Subspace of End(V)
     seed: int
     chain: OperatorChain
-    p0: int
 
     @property
     def p(self) -> int:
@@ -142,17 +141,22 @@ def _annihilator(level: Subspace, n: int, v: tuple[int, ...]) -> Subspace:
     return span([[sum(map(mul, cs, col)) for col in columns] for cs in coeff_kernel.rows], n * n)
 
 
-def decompose(rep: Representation, filt: Filtration, seed: int = 0) -> Decomposition:
-    """Run the full chain-splitting loop on the image chain of a faithful nilrepresentation."""
+def decompose(rep: Representation, seed: int = 0) -> Decomposition:
+    """Split the image of the default filtration under a faithful nilrepresentation.
+
+    The representation is checked first. An injective homomorphism pulls the
+    matrix Jacobi identity back to the algebra, so that needs no check of its
+    own; a non-nilpotent algebra raises NotNilpotentError.
+    """
     val = validate_representation(rep)
     if not val.ok:
         raise ValueError("invalid representation: " + "; ".join(val.violations))
     if not is_faithful(rep):
         raise FaithfulnessError("representation is not faithful")
-    return decompose_chain(chain_from_representation(rep, filt), filt.p, seed=seed)
+    return decompose_chain(chain_from_representation(rep, default_filtration(rep.algebra)), seed=seed)
 
 
-def decompose_chain(chain: OperatorChain, p0: int, seed: int = 0) -> Decomposition:
+def decompose_chain(chain: OperatorChain, seed: int = 0) -> Decomposition:
     n = chain.space_dim
     amb = n * n
     rng = random.Random(seed)
@@ -184,7 +188,7 @@ def decompose_chain(chain: OperatorChain, p0: int, seed: int = 0) -> Decompositi
         levels = [annis[k] for k in range(q)]
     partition = tuple(s[1:])
     assert partition[0] == i and all(x > 0 for x in partition)
-    return Decomposition(partition, tuple(vectors), grid, seed, chain, p0)
+    return Decomposition(partition, tuple(vectors), grid, seed, chain)
 
 
 @dataclass
@@ -200,7 +204,7 @@ class VerificationReport:
 def verify_decomposition(dec: Decomposition) -> VerificationReport:
     """Certify every structural claim about the partition, vectors and grid exactly."""
     report = VerificationReport()
-    chain, p0 = dec.chain, dec.p0
+    chain = dec.chain
     n = chain.space_dim
     amb = n * n
     p = chain.p
@@ -240,17 +244,17 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
                 if not contains(target, whole):
                     report.failures.append(f"T_({k},{j}).V is not inside T_({k},{i}).v_{i}")
 
-    # moreover clause: needs nilpotent operators and [T_1, T_{p0}] = 0
+    # moreover clause: needs nilpotent operators and [T_1, T_p] = 0
     t1_ops = [Matrix.unflatten(op, n, n) for op in chain.levels[0].rows]
-    tp0_ops = [Matrix.unflatten(op, n, n) for op in chain.levels[p0 - 1].rows]
+    tp_ops = [Matrix.unflatten(op, n, n) for op in chain.levels[-1].rows]
     if all(op.is_nilpotent() for op in t1_ops) and all(
-        a.commutator(b).is_zero() for a in t1_ops for b in tp0_ops
+        a.commutator(b).is_zero() for a in t1_ops for b in tp_ops
     ):
         report.moreover_checked = True
         img = span(_images(dec.grid[(1, 1)].rows, n, dec.vectors[0]), n)
-        v0 = span(dec.vectors[: s[p0 - 1]], n)
+        v0 = span(dec.vectors[: s[-1]], n)
         if intersect(img, v0).dim != 0:
-            report.failures.append("T_(1,1).v_1 meets span{v_1..v_{s_p0}} nontrivially")
+            report.failures.append("T_(1,1).v_1 meets span{v_1..v_{s_p}} nontrivially")
     return report
 
 
@@ -262,7 +266,7 @@ class AdaptedBasis:
 
 
 def build_adapted_basis(dec: Decomposition) -> AdaptedBasis:
-    """Assemble B = (X_1 v_1, ..., X_{r_1} v_1, w_1, ..., w_q, v_1, ..., v_{s_{p0}})."""
+    """Assemble B = (X_1 v_1, ..., X_{r_1} v_1, w_1, ..., w_q, v_1, ..., v_{s_p})."""
     n = dec.space_dim
     amb = n * n
     p = dec.p
@@ -280,10 +284,10 @@ def build_adapted_basis(dec: Decomposition) -> AdaptedBasis:
             raise ValueError(f"adapted operator basis fails at level {k}")
 
     images = [tuple(img) for img in _images(flat_ops, n, dec.vectors[0])]
-    s_p0 = dec.partition[dec.p0 - 1]
-    tail = list(dec.vectors[:s_p0])
+    s_p = dec.partition[-1]
+    tail = list(dec.vectors[:s_p])
     partial = span(images + tail, n)
-    if partial.dim != r[0] + s_p0:
+    if partial.dim != r[0] + s_p:
         raise ValueError("degenerate complement: images and rank vectors are dependent")
     w_space = complement_extending(Subspace.full(n), partial, Subspace.zero(n))
     ws = list(w_space.rows)
@@ -307,15 +311,15 @@ def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
     """Check the block patterns of every grid operator in the adapted basis.
 
     A_mn is the block of rows in band m and columns in band n, where the bands
-    of B are the r_1 images X_h v_1, the q vectors w and the s_{p0} vectors v.
+    of B are the r_1 images X_h v_1, the q vectors w and the s_p vectors v.
     """
     report = BlockReport()
     n = dec.space_dim
-    p, p0 = dec.p, dec.p0
+    p = dec.p
     r = ab.r
     s = dec.partition
     top = range(r[0])
-    bands = (top, range(r[0], r[0] + ab.q), range(r[0] + ab.q, r[0] + ab.q + s[p0 - 1]))
+    bands = (top, range(r[0], r[0] + ab.q), range(r[0] + ab.q, r[0] + ab.q + s[-1]))
     change = Matrix.from_rows([[ab.basis_vectors[j][i] for j in range(n)] for i in range(n)])
     change_inv = invert(change)
 
@@ -344,7 +348,7 @@ def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
                     for n_blk in (1, 2, 3):
                         if nonzero(bands[m_blk - 1], bands[n_blk - 1]):
                             report.failures.append(f"{tag}: A_{m_blk}{n_blk} nonzero")
-                # A_13 only has s_{p0} columns; v_j for j > s_{p0} has no column
+                # A_13 only has s_p columns; v_j for j > s_p has no column
                 for col_i, c in enumerate(bands[2][: j - 1]):
                     if nonzero(top, (c,)):
                         report.failures.append(f"{tag}: column {col_i + 1} of A_13 nonzero")
@@ -358,7 +362,7 @@ def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
                     h_max = max(h for h in range(1, p + 1) if r_of(h) >= col_i)
                     if nonzero(range(r_of(k + h_max), r[0]), (col_i - 1,)):
                         report.failures.append(f"{tag}: staircase fails in column {col_i} of A_11")
-                if k >= p0 and nonzero(top, top):
+                if k == p and nonzero(top, top):
                     report.failures.append(f"{tag}: A_11 nonzero although the level is central")
     return report
 
@@ -376,7 +380,7 @@ def extract_profile(dec: Decomposition) -> tuple[int, ...]:
     if profile[0] < 1 or profile[p] < 1 or sum(profile) != dim_v:
         raise AssertionError(f"profile {profile} violates shape constraints")
     dims = tuple(lvl.dim for lvl in dec.chain.levels)
-    if not is_feasible(BoundProblem(p, dec.p0, dims), profile):
+    if not is_feasible(BoundProblem(p, p, dims), profile):
         raise AssertionError(f"profile {profile} infeasible for the induced bound problem")
     return profile
 

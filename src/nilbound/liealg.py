@@ -60,12 +60,13 @@ class LieAlgebra:
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"0-based bracket indices ({i}, {j}) out of range or not i < j")
-            terms = tuple((k, rat(c)) for k, c in terms if rat(c) != 0)
+            terms = tuple((k, rat(c)) for k, c in terms)
             for k, _ in terms:
                 if not 0 <= k < dim:
                     raise ValueError(f"0-based bracket target index {k} out of range")
             if len({k for k, _ in terms}) != len(terms):
                 raise ValueError(f"0-based bracket ({i}, {j}) names one target index twice")
+            terms = tuple((k, c) for k, c in terms if c != 0)
             if terms:
                 clean[(i, j)] = terms
         return LieAlgebra(name, dim, tuple(basis_names), frozenset(clean.items()))

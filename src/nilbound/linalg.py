@@ -26,7 +26,7 @@ _ZERO = Q(0)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to an exact rational."""
+    """Coerce ints, Fractions and "num/den" strings to an exact rational; a bool is not a number."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
@@ -34,8 +34,8 @@ def rat(x) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
-    if isinstance(x, float):
-        raise TypeError("refusing to coerce a float to an exact rational")
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"refusing to coerce a {type(x).__name__} to an exact rational")
     return Fraction(x)
 
 

@@ -27,7 +27,6 @@ from nilbound.decomposition import (
     verify_decomposition,
 )
 from nilbound.families import make_nabc, make_nap
-from nilbound.liealg import default_filtration
 
 NAP_CASES = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
 NABC_CASES = [(1, 2, 1), (1, 3, 2), (2, 3, 1), (1, 1, 1), (2, 3, 2), (2, 4, 2)]
@@ -204,21 +203,20 @@ def _decomposition_inputs():
 def decomposition_grid():
     """Seed-0 pipeline results plus seed-1/2 shape summaries for every input."""
     grid = []
-    for name, alg, rep in _decomposition_inputs():
-        filt = default_filtration(alg)
-        dec = decompose(rep, filt, seed=0)
+    for name, _, rep in _decomposition_inputs():
+        dec = decompose(rep, seed=0)
         shapes = {0: (dec.partition, dec.rank_dims())}
         for seed in (1, 2):
-            other = decompose(rep, filt, seed=seed)
+            other = decompose(rep, seed=seed)
             shapes[seed] = (other.partition, other.rank_dims())
-        grid.append((name, rep, filt, dec, shapes))
+        grid.append((name, rep, dec, shapes))
     return grid
 
 
 def test_criterion_8_decomposition_suite(decomposition_grid):
     t0 = time.time()
     failures = []
-    for name, rep, filt, dec, _ in decomposition_grid:
+    for name, rep, dec, _ in decomposition_grid:
         ver = verify_decomposition(dec)
         if not ver.ok:
             failures.append((name, "decomposition", ver.failures[:2]))
@@ -239,7 +237,7 @@ def test_criterion_8_decomposition_suite(decomposition_grid):
 
 def test_criterion_9_seed_stability(decomposition_grid):
     failures = []
-    for name, _, _, _, shapes in decomposition_grid:
+    for name, _, _, shapes in decomposition_grid:
         if len(set(shapes.values())) != 1:
             failures.append((name, shapes))
     report_line(9, not failures)

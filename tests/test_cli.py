@@ -13,7 +13,14 @@ import nilbound.bounds as bounds
 from conftest import conjugated_dense_representation
 from nilbound.cli import build_parser, main
 from nilbound.families import make_family, make_heisenberg
-from nilbound.liealg import algebra_from_json, algebra_to_json, default_filtration, representation_to_json
+from nilbound.liealg import (
+    algebra_from_json,
+    algebra_from_matrix_basis,
+    algebra_to_json,
+    default_filtration,
+    representation_to_json,
+)
+from nilbound.linalg import Matrix
 
 
 @pytest.fixture
@@ -127,6 +134,8 @@ class TestBound:
 
 HEIS_ALGEBRA = {"name": "h", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"]]}]}
 HEIS_REPRESENTATION = representation_to_json(make_heisenberg(1)[1])
+# the same matrices with each entry 1 written as a JSON true
+HEIS_MATRICES_WITH_TRUE = [[[True if x == "1" else x for x in row] for row in m] for m in HEIS_REPRESENTATION["matrices"]]
 
 
 def assert_one_error_line(code, out, err):
@@ -159,6 +168,10 @@ def assert_one_error_line(code, out, err):
         ("analyze", {**HEIS_ALGEBRA, "basis": ["x", "y"]}),
         ("analyze", {**HEIS_ALGEBRA, "brackets": HEIS_ALGEBRA["brackets"] * 2}),
         ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"], [3, "1"]]}]}),
+        ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, True]]}]}),
+        ("decompose", {**HEIS_REPRESENTATION, "matrices": HEIS_MATRICES_WITH_TRUE}),
+        ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"], [99, "0"]]}]}),
+        ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"], [3, "0"]]}]}),
     ],
     ids=[
         "missing-dim",
@@ -181,6 +194,10 @@ def assert_one_error_line(code, out, err):
         "basis-shorter-than-dim",
         "bracket-pair-twice",
         "term-target-twice",
+        "bool-coefficient",
+        "bool-matrix-entry",
+        "zero-term-target-out-of-range",
+        "zero-term-target-twice",
     ],
 )
 def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data):
@@ -195,8 +212,9 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data)
         (["family", "nap", "--a", "0", "--p", "2", "-o", "{tmp}"], None),
         (["bound", "{algebra}", "--filtration", "{input}"], {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2}),
         (["family", "nap", "--a", "1", "--p", "2", "-o", "{input}"], None),
+        (["bound", "{algebra}", "--filtration", "{input}"], {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, True]]]}),
     ],
-    ids=["family-parameter-below-1", "filtration-not-multiplicative", "family-output-is-a-file"],
+    ids=["family-parameter-below-1", "filtration-not-multiplicative", "family-output-is-a-file", "filtration-bool-entry"],
 )
 def test_malformed_argument_is_one_error_line(tmp_path, capsys, heis_files, argv, data):
     path = tmp_path / "input.json"
@@ -386,6 +404,34 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(path))
         assert code == 1
         assert "is not nilpotent" in err
+
+    @pytest.mark.parametrize(
+        "matrices, message",
+        [
+            ([[["0", "0"], ["0", "0"]]] * 3, "representation is not faithful"),
+            ([[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]], [["1", "1"], ["-1", "-1"]]], "homomorphism fails"),
+        ],
+        ids=["unfaithful", "not-a-homomorphism"],
+    )
+    def test_jacobi_failing_algebra_is_one_error_line(self, tmp_path, capsys, matrices, message):
+        # [x1, x2] = x1, [x2, x3] = x1, [x1, x3] = x2 fails Jacobi on (1, 2, 3); no faithful
+        # homomorphism exists, so the representation check is the one that reports it
+        brackets = [{"i": 1, "j": 2, "terms": [[1, "1"]]}, {"i": 2, "j": 3, "terms": [[1, "1"]]},
+                    {"i": 1, "j": 3, "terms": [[2, "1"]]}]
+        data = {"algebra": {"name": "bad", "dim": 3, "brackets": brackets}, "dimV": 2, "matrices": matrices}
+        path = tmp_path / "bad.representation.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "decompose", str(path))
+        assert_one_error_line(code, out, err)
+        assert message in err
+
+    def test_sl2_in_a_nilpotent_basis_rejected(self, tmp_path, capsys):
+        # a faithful representation whose generators are all nilpotent, of a non-nilpotent algebra
+        mats = [Matrix.from_rows(m) for m in ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]])]
+        _, rep = algebra_from_matrix_basis("sl2", mats)
+        path = tmp_path / "sl2.representation.json"
+        path.write_text(json.dumps(representation_to_json(rep)))
+        assert run(capsys, "decompose", str(path)) == (1, "", "error: algebra 'sl2' is not nilpotent\n")
 
 
 real_is_feasible = bounds.is_feasible

@@ -23,17 +23,13 @@ from nilbound.linalg import Matrix, Subspace, span
 
 
 @pytest.fixture(scope="module")
-def heis_setup():
-    alg, rep = make_heisenberg(1)
-    filt = default_filtration(alg)
-    return rep, filt
+def heis_rep():
+    return make_heisenberg(1)[1]
 
 
 @pytest.fixture(scope="module")
-def n112_setup():
-    alg, rep = make_nabc(1, 1, 2)
-    filt = default_filtration(alg)
-    return rep, filt
+def n112_rep():
+    return make_nabc(1, 1, 2)[1]
 
 
 def e12_on_k2() -> Representation:
@@ -43,9 +39,8 @@ def e12_on_k2() -> Representation:
 
 
 class TestRankVector:
-    def test_heisenberg_chain_dims(self, heis_setup):
-        rep, filt = heis_setup
-        chain = chain_from_representation(rep, filt)
+    def test_heisenberg_chain_dims(self, heis_rep):
+        chain = chain_from_representation(heis_rep, default_filtration(heis_rep.algebra))
         _, dims = find_rank_vector(chain, random.Random(0))
         assert dims == (2, 1)
 
@@ -62,22 +57,19 @@ class TestRankVector:
 
 
 class TestDecompose:
-    def test_heisenberg(self, heis_setup):
-        rep, filt = heis_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_heisenberg(self, heis_rep):
+        dec = decompose(heis_rep, seed=0)
         assert dec.partition == (2, 1)
         assert dec.rank_dims() == (2, 1)
 
-    def test_n112(self, n112_setup):
-        rep, filt = n112_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_n112(self, n112_rep):
+        dec = decompose(n112_rep, seed=0)
         assert dec.partition == (3, 2)
         assert dec.rank_dims() == (2, 1)
 
     def test_abelian_on_k2(self):
         rep = e12_on_k2()
-        filt = default_filtration(rep.algebra)
-        dec = decompose(rep, filt, seed=0)
+        dec = decompose(rep, seed=0)
         assert dec.partition == (1,)
         assert dec.rank_dims() == (1,)
 
@@ -86,40 +78,35 @@ class TestDecompose:
         mat = Matrix.from_rows([[0, 1], [0, 0]])
         rep = Representation(alg, 2, (mat, mat))
         with pytest.raises(FaithfulnessError):
-            decompose(rep, default_filtration(alg), seed=0)
+            decompose(rep, seed=0)
 
-    def test_determinism_bit_for_bit(self, n112_setup):
-        rep, filt = n112_setup
-        a = decompose(rep, filt, seed=5)
-        b = decompose(rep, filt, seed=5)
+    def test_determinism_bit_for_bit(self, n112_rep):
+        a = decompose(n112_rep, seed=5)
+        b = decompose(n112_rep, seed=5)
         assert a == b
         assert decomposition_to_json(a) == decomposition_to_json(b)
 
-    def test_partition_stable_across_seeds(self, n112_setup):
-        rep, filt = n112_setup
-        runs = [decompose(rep, filt, seed=s) for s in (0, 1, 2)]
+    def test_partition_stable_across_seeds(self, n112_rep):
+        runs = [decompose(n112_rep, seed=s) for s in (0, 1, 2)]
         assert len({d.partition for d in runs}) == 1
         assert len({d.rank_dims() for d in runs}) == 1
 
 
 class TestVerifyDecomposition:
-    def test_heisenberg_all_checks_pass(self, heis_setup):
-        rep, filt = heis_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_heisenberg_all_checks_pass(self, heis_rep):
+        dec = decompose(heis_rep, seed=0)
         report = verify_decomposition(dec)
         assert report.ok
         assert report.moreover_checked
 
-    def test_n112_with_moreover(self, n112_setup):
-        rep, filt = n112_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_n112_with_moreover(self, n112_rep):
+        dec = decompose(n112_rep, seed=0)
         report = verify_decomposition(dec)
         assert report.ok
         assert report.moreover_checked
 
-    def test_swapped_vectors_break_zero_action(self, n112_setup):
-        rep, filt = n112_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_swapped_vectors_break_zero_action(self, n112_rep):
+        dec = decompose(n112_rep, seed=0)
         swapped = dec.vectors[1], dec.vectors[0], *dec.vectors[2:]
         bad = dataclasses.replace(dec, vectors=swapped)
         report = verify_decomposition(bad)
@@ -128,42 +115,38 @@ class TestVerifyDecomposition:
 
 
 class TestAdaptedBasis:
-    def test_heisenberg_sizes(self, heis_setup):
-        rep, filt = heis_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_heisenberg_sizes(self, heis_rep):
+        dec = decompose(heis_rep, seed=0)
         ab = build_adapted_basis(dec)
         assert ab.r == (2, 1)
         assert ab.q == 0
         assert len(ab.basis_vectors) == 3
 
-    def test_n112_sizes(self, n112_setup):
-        rep, filt = n112_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_n112_sizes(self, n112_rep):
+        dec = decompose(n112_rep, seed=0)
         ab = build_adapted_basis(dec)
         assert ab.q == 0
         assert len(ab.basis_vectors) == 4
 
     def test_abelian_sizes(self):
         rep = e12_on_k2()
-        filt = default_filtration(rep.algebra)
-        dec = decompose(rep, filt, seed=0)
+        dec = decompose(rep, seed=0)
         ab = build_adapted_basis(dec)
         assert (ab.r, ab.q, len(ab.basis_vectors)) == ((1,), 0, 2)
 
 
 class TestBlockStructure:
     @pytest.mark.parametrize("family", ["heis", "n112"])
-    def test_patterns_hold(self, family, heis_setup, n112_setup):
-        rep, filt = heis_setup if family == "heis" else n112_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_patterns_hold(self, family, heis_rep, n112_rep):
+        rep = heis_rep if family == "heis" else n112_rep
+        dec = decompose(rep, seed=0)
         ab = build_adapted_basis(dec)
         report = verify_block_structure(ab, dec)
         assert report.ok
         assert report.checked > 0
 
-    def test_reordered_basis_fails(self, n112_setup):
-        rep, filt = n112_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_reordered_basis_fails(self, n112_rep):
+        dec = decompose(n112_rep, seed=0)
         ab = build_adapted_basis(dec)
         shuffled = AdaptedBasis(ab.r, ab.q, tuple(reversed(ab.basis_vectors)))
         report = verify_block_structure(shuffled, dec)
@@ -171,25 +154,22 @@ class TestBlockStructure:
 
 
 class TestProfile:
-    def test_heisenberg(self, heis_setup):
-        rep, filt = heis_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_heisenberg(self, heis_rep):
+        dec = decompose(heis_rep, seed=0)
         assert extract_profile(dec) == (1, 1, 1)
 
-    def test_n112(self, n112_setup):
-        rep, filt = n112_setup
-        dec = decompose(rep, filt, seed=0)
+    def test_n112(self, n112_rep):
+        dec = decompose(n112_rep, seed=0)
         assert extract_profile(dec) == (2, 1, 1)
 
     def test_abelian_on_k2(self):
         rep = e12_on_k2()
-        dec = decompose(rep, default_filtration(rep.algebra), seed=0)
+        dec = decompose(rep, seed=0)
         assert extract_profile(dec) == (1, 1)
 
     def test_nap_22_profile_sums_to_dimv(self):
-        alg, rep = make_nap(2, 2)
-        filt = default_filtration(alg)
-        dec = decompose(rep, filt, seed=0)
+        _, rep = make_nap(2, 2)
+        dec = decompose(rep, seed=0)
         profile = extract_profile(dec)
         assert sum(profile) == rep.dimV
         report = verify_decomposition(dec)
@@ -203,10 +183,9 @@ def test_chain_rejects_non_nested_levels():
         OperatorChain(2, (top, other))
 
 
-def test_decompose_chain_grid_partitions_levels(n112_setup):
-    rep, filt = n112_setup
-    chain = chain_from_representation(rep, filt)
-    dec = decompose_chain(chain, filt.p, seed=3)
+def test_decompose_chain_grid_partitions_levels(n112_rep):
+    chain = chain_from_representation(n112_rep, default_filtration(n112_rep.algebra))
+    dec = decompose_chain(chain, seed=3)
     for k in range(1, dec.p + 1):
         total = sum(dec.grid[(k, j)].dim for j in range(1, dec.partition[k - 1] + 1))
         assert total == chain.levels[k - 1].dim
