@@ -27,11 +27,11 @@ from nilbound.bounds import BoundProblem, is_feasible
 from nilbound.linalg import (
     Matrix,
     Subspace,
+    _kernel,
     complement_extending,
     contains,
     intersect,
     invert,
-    kernel_basis,
     rat_str,
     span,
 )
@@ -136,7 +136,7 @@ def _annihilator(level: Subspace, n: int, v: tuple[int, ...]) -> Subspace:
     """{T in level : T(v) = 0} as a subspace of End(V)."""
     if level.dim == 0:
         return level
-    coeff_kernel = kernel_basis(Matrix(tuple(zip(*_images(level.rows, n, v)))))
+    coeff_kernel = _kernel(zip(*_images(level.rows, n, v)), level.dim)
     columns = list(zip(*level.rows))
     return span([[sum(map(mul, cs, col)) for col in columns] for cs in coeff_kernel.rows], n * n)
 

@@ -4,11 +4,15 @@ Structure constants are stored sparsely for i < j only; antisymmetry is
 implicit. Each algebra derives from them, once, a sparse adjoint table
 (`LieAlgebra.ad`) that brackets, the Jacobi check, the center and the
 representation check all read, and it keeps its lower central series and
-center once computed. Everything is exact-rational and immutable.
+center once computed. The table holds the integers D * c_ij^k, with D the
+lcm of the constants' denominators (`LieAlgebra.denominator`), so the Jacobi
+check, the series and the center run on integers; the public `bracket` and
+the representation check divide by D. Everything is exact and immutable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,9 +25,10 @@ from nilbound.linalg import (
     Q,
     Subspace,
     Vector,
+    _canonical,
+    _kernel,
     contains,
     invert,
-    kernel_basis,
     rat,
     rat_str,
     span,
@@ -39,6 +44,12 @@ class NotNilpotentError(ValueError):
 # brackets: {(i, j): ((k, coeff), ...)} with 0-based i < j, meaning
 # [x_i, x_j] = sum_k coeff * x_k
 Terms = tuple[tuple[int, Fraction], ...]
+IntTerms = tuple[tuple[int, int], ...]
+
+
+def _pair(i: int, j: int) -> str:
+    """A 0-based index pair named in the files' 1-based numbering."""
+    return f"bracket ({i + 1}, {j + 1})"
 
 
 @dataclass(frozen=True)
@@ -46,7 +57,7 @@ class LieAlgebra:
     name: str
     dim: int
     basis_names: tuple[str, ...]
-    brackets: "frozenset[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]]]"
+    brackets: "frozenset[tuple[tuple[int, int], Terms]]"
 
     @staticmethod
     def create(name: str, dim: int, brackets: Mapping, basis_names: Sequence[str] | None = None) -> "LieAlgebra":
@@ -59,25 +70,32 @@ class LieAlgebra:
         clean = {}
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < dim):
-                raise ValueError(f"0-based bracket indices ({i}, {j}) out of range or not i < j")
+                raise ValueError(f"{_pair(i, j)} is out of range 1..{dim} or not i < j")
             terms = tuple((k, rat(c)) for k, c in terms)
             for k, _ in terms:
                 if not 0 <= k < dim:
-                    raise ValueError(f"0-based bracket target index {k} out of range")
+                    raise ValueError(f"{_pair(i, j)} names target index {k + 1}, out of range 1..{dim}")
             if len({k for k, _ in terms}) != len(terms):
-                raise ValueError(f"0-based bracket ({i}, {j}) names one target index twice")
+                raise ValueError(f"{_pair(i, j)} names one target index twice")
             terms = tuple((k, c) for k, c in terms if c != 0)
             if terms:
                 clean[(i, j)] = terms
         return LieAlgebra(name, dim, tuple(basis_names), frozenset(clean.items()))
 
     @cached_property
-    def ad(self) -> tuple[dict[int, Terms], ...]:
-        """ad[i][j] are the terms of [x_i, x_j]; both orders are stored, the swapped one negated."""
-        ad: list[dict[int, Terms]] = [{} for _ in range(self.dim)]
+    def denominator(self) -> int:
+        """D, the lcm of the structure-constant denominators; 1 without brackets."""
+        return math.lcm(*(c.denominator for _, terms in self.brackets for _, c in terms))
+
+    @cached_property
+    def ad(self) -> tuple[dict[int, IntTerms], ...]:
+        """ad[i][j] are the integer terms of D * [x_i, x_j]; both orders are stored, the swapped one negated."""
+        d = self.denominator
+        ad: list[dict[int, IntTerms]] = [{} for _ in range(self.dim)]
         for (i, j), terms in self.brackets:
-            ad[i][j] = terms
-            ad[j][i] = tuple((k, -c) for k, c in terms)
+            scaled = tuple((k, c.numerator * (d // c.denominator)) for k, c in terms)
+            ad[i][j] = scaled
+            ad[j][i] = tuple((k, -c) for k, c in scaled)
         return tuple(ad)
 
     @cached_property
@@ -95,35 +113,38 @@ class LieAlgebra:
 
     @cached_property
     def _center(self) -> Subspace:
-        """See center. Row (j, k), the k-th coordinate of [x, e_j] as a linear
-        form in x, is built only where the adjoint table makes it nonzero."""
-        rows: dict[tuple[int, int], list[Fraction]] = {}
+        """See center. Row (j, k), the k-th coordinate of D * [x, e_j] as a
+        linear form in x, is built only where the adjoint table makes it nonzero."""
+        rows: dict[tuple[int, int], list[int]] = {}
         for i, row in enumerate(self.ad):
             for j, terms in row.items():
                 for k, c in terms:
-                    rows.setdefault((j, k), [Q(0)] * self.dim)[i] += c
-        nonzero = [rows[key] for key in sorted(rows) if any(rows[key])]
-        return kernel_basis(Matrix.from_rows(nonzero)) if nonzero else Subspace.full(self.dim)
+                    rows.setdefault((j, k), [0] * self.dim)[i] += c
+        return _kernel([rows[key] for key in sorted(rows)], self.dim)
 
 
-def bracket(alg: LieAlgebra, u: Sequence, v: Sequence) -> Vector:
-    """Bilinear antisymmetric product of coordinate vectors."""
-    if len(u) != alg.dim or len(v) != alg.dim:
-        raise DimensionMismatch("coordinate length differs from algebra dimension")
-    out = [Q(0)] * alg.dim
-    v_nonzero = [(j, rat(b)) for j, b in enumerate(v) if b]
+def _bracket(alg: LieAlgebra, u: Sequence, v: Sequence) -> list:
+    """D * [u, v] from the integer table; integer for integer coordinates."""
+    out = [0] * alg.dim
+    v_nonzero = [(j, b) for j, b in enumerate(v) if b]
     for i, a in enumerate(u):
         if not a:
             continue
         row = alg.ad[i]
-        a = rat(a)
         for j, b in v_nonzero:
             terms = row.get(j)
             if terms:
                 ab = a * b
                 for k, c in terms:
                     out[k] += ab * c
-    return tuple(out)
+    return out
+
+
+def bracket(alg: LieAlgebra, u: Sequence, v: Sequence) -> Vector:
+    """Bilinear antisymmetric product of coordinate vectors, as exact rationals."""
+    if len(u) != alg.dim or len(v) != alg.dim:
+        raise DimensionMismatch("coordinate length differs from algebra dimension")
+    return tuple(Q(x, alg.denominator) for x in _bracket(alg, vec(u), vec(v)))
 
 
 @dataclass
@@ -140,11 +161,13 @@ def validate(alg: LieAlgebra) -> ValidationReport:
 
     A basis element with no brackets is central, and every triple holding
     one satisfies the identity, so only triples of the others are summed.
+    The sums are taken on the integer table: each is D^2 times the rational
+    one, so it is zero exactly when that one is.
     """
     report = ValidationReport()
     ad = alg.ad
     for i, j, k in combinations([i for i, row in enumerate(ad) if row], 3):
-        total: dict[int, Fraction] = {}
+        total: dict[int, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             # [x_a, [x_b, x_c]] composed from the sparse terms
             for l, inner in ad[b].get(c, ()):
@@ -156,9 +179,8 @@ def validate(alg: LieAlgebra) -> ValidationReport:
 
 
 def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    # zero products change no span, so they are dropped before the elimination
-    prods = [w for u in a.rows for v in b.rows if any(w := bracket(alg, u, v))]
-    return span(prods, alg.dim) if prods else Subspace.zero(alg.dim)
+    # the products of the integer rows, scaled by D, span [a, b]; zero ones change no span
+    return _canonical([w for u in a.rows for v in b.rows if any(w := _bracket(alg, u, v))], alg.dim)
 
 
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
@@ -268,7 +290,7 @@ def validate_representation(rep: Representation) -> ValidationReport:
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             lhs = rep.matrices[i].commutator(rep.matrices[j])
-            rhs = rep._combine(alg.ad[i].get(j, ()))
+            rhs = rep._combine((k, Q(c, alg.denominator)) for k, c in alg.ad[i].get(j, ()))
             if lhs != rhs:
                 report.violations.append(f"homomorphism fails on basis pair ({i + 1}, {j + 1})")
     for i, m in enumerate(rep.matrices):
@@ -345,7 +367,7 @@ def algebra_from_json(data: dict) -> LieAlgebra:
     for entry in data.get("brackets", []):
         i, j = _require_int(entry["i"], "i") - 1, _require_int(entry["j"], "j") - 1
         if (i, j) in brackets:
-            raise ValueError(f"bracket ({i + 1}, {j + 1}) is given twice")
+            raise ValueError(f"{_pair(i, j)} is given twice")
         brackets[(i, j)] = tuple((_require_int(k, "a term index") - 1, rat(c)) for k, c in entry["terms"])
     return LieAlgebra.create(data.get("name", "algebra"), dim, brackets, data.get("basis"))
 

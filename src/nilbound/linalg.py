@@ -339,20 +339,23 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """The exact null space {x : m @ x = 0} as a canonical subspace."""
-    if m.rows == 0 or m.cols == 0:
-        return Subspace.full(m.cols)
-    rows, pivots = _rref_rows(_clear_denominators(m.entries)[0])
+    return _kernel(_clear_denominators(m.entries)[0], m.cols)
+
+
+def _kernel(rows: Iterable[Sequence[int]], cols: int) -> Subspace:
+    """The null space of the integer matrix with these rows, each of length cols."""
+    rows, pivots = _rref_rows(rows)
     # x_f = 1 on a free column f gives x_p = -R[i][f] = -rows[i][f] / rows[i][p] on pivot
     # column p of row i; scaling by the lcm of the pivot entries keeps this integral
     lead = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
     basis = []
-    for f in sorted(set(range(m.cols)) - set(pivots)):
-        v = [0] * m.cols
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
         v[f] = lead
         for r, c in zip(rows, pivots):
             v[c] = -r[f] * (lead // r[c])
         basis.append(v)
-    return _canonical(basis, m.cols)
+    return _canonical(basis, cols)
 
 
 def complement_extending(ambient: Subspace, inner: Subspace, must_contain: Subspace) -> Subspace:

@@ -207,6 +207,22 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data)
 
 
 @pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"i": 1, "j": 4, "terms": [[3, "1"]]}, "bracket (1, 4) is out of range 1..3 or not i < j"),
+        ({"i": 1, "j": 2, "terms": [[3, "1"], [3, "1"]]}, "bracket (1, 2) names one target index twice"),
+        ({"i": 1, "j": 2, "terms": [[3, "1"], [99, "0"]]}, "bracket (1, 2) names target index 99, out of range 1..3"),
+    ],
+    ids=["index-out-of-range", "term-target-twice", "zero-term-target-out-of-range"],
+)
+def test_loader_messages_use_the_file_numbering(tmp_path, capsys, entry, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**HEIS_ALGEBRA, "brackets": [entry]}))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (1, f"error: malformed algebra file {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, data",
     [
         (["family", "nap", "--a", "0", "--p", "2", "-o", "{tmp}"], None),

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_upper_triangular_subalgebra
@@ -126,10 +128,30 @@ class TestBracket:
 
     def test_adjoint_table_is_antisymmetric(self, dense):
         alg, _ = dense
+        d = alg.denominator
+        assert d == math.lcm(*(c.denominator for _, terms in alg.brackets for _, c in terms)) > 1
         for (i, j), terms in alg.brackets:
-            assert alg.ad[i][j] == terms
-            assert alg.ad[j][i] == tuple((k, -c) for k, c in terms)
+            assert alg.ad[i][j] == tuple((k, int(d * c)) for k, c in terms)
+            assert alg.ad[j][i] == tuple((k, int(-d * c)) for k, c in terms)
+            assert all(type(c) is int for _, c in alg.ad[i][j] + alg.ad[j][i])
+            assert all((d * c).denominator == 1 for _, c in terms)
         assert sum(len(row) for row in alg.ad) == 2 * len(alg.brackets)
+
+    def test_adjoint_table_scales_by_the_lcm(self):
+        alg = LieAlgebra.create("frac", 4, {(0, 1): ((2, Fraction(1, 4)), (3, Fraction(-5, 6))), (0, 2): ((3, 2),)})
+        assert alg.denominator == 12
+        assert alg.ad[0] == {1: ((2, 3), (3, -10)), 2: ((3, 24),)}
+        assert alg.ad[1] == {0: ((2, -3), (3, 10))}
+        assert alg.ad[2] == {0: ((3, -24),)}
+        assert bracket(alg, vec([1, 0, 0, 0]), vec([0, 1, 0, 0])) == (0, 0, Fraction(1, 4), Fraction(-5, 6))
+
+    def test_abelian_table_is_empty_with_denominator_one(self):
+        alg, _ = make_abelian(3)
+        assert alg.denominator == 1
+        assert alg.ad == ({}, {}, {})
+        assert bracket(alg, vec([1, 2, 3]), vec([3, 2, 1])) == (0, 0, 0)
+        assert center(alg) == Subspace.full(3)
+        assert validate(alg).ok
 
 
 class TestSeriesAndCenter:
@@ -326,3 +348,58 @@ def test_bracket_matches_structure_constant_definition(dense, data):
         for k, c in terms:
             expected[k] += (u[i] * v[j] - u[j] * v[i]) * c
     assert bracket(alg, u, v) == tuple(expected)
+
+
+def fraction_jacobi_violations(alg: LieAlgebra) -> list[str]:
+    """The Jacobi check straight from the Fraction constants, over every basis triple."""
+    c = {}
+    for (i, j), terms in alg.brackets:
+        for k, x in terms:
+            c[i, j, k], c[j, i, k] = x, -x
+    n = alg.dim
+    violations = []
+    for i, j, k in combinations(range(n), 3):
+        total = [Fraction(0)] * n
+        for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+            # [x_a, [x_b, x_e]] = sum_l c_be^l [x_a, x_l]
+            for l in range(n):
+                for m in range(n):
+                    total[m] += c.get((b, e, l), 0) * c.get((a, l, m), 0)
+        if any(total):
+            violations.append(f"Jacobi fails at triple ({i + 1}, {j + 1}, {k + 1})")
+    return violations
+
+
+REFERENCE_FAMILIES = [make_heisenberg(2), make_nap(1, 3), make_nabc(1, 2, 1), random_upper_triangular_subalgebra(3, 5, 7)]
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+nonzero_rationals = small_rationals.filter(lambda x: x != 0)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_validate_matches_the_fraction_reference(data):
+    """On rebased algebras with non-integral constants, some of them broken, the verdicts agree."""
+    _, rep = data.draw(st.sampled_from(REFERENCE_FAMILIES))
+    mats = rep.matrices
+    n = len(mats)
+    # y_i = s_i x_i + sum_{j > i} t_ij x_j with s_i != 0: triangular, so an invertible change of basis
+    rebased = [
+        Matrix.combination(
+            [(data.draw(nonzero_rationals), mats[i])]
+            + [(data.draw(small_rationals), mats[j]) for j in range(i + 1, n)],
+            rep.dimV,
+            rep.dimV,
+        )
+        for i in range(n)
+    ]
+    alg, _ = algebra_from_matrix_basis("rebased", rebased)
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.sampled_from(list(combinations(range(n), 2))))
+        k, delta = data.draw(st.integers(0, n - 1)), data.draw(nonzero_rationals)
+        brackets = dict(alg.brackets)
+        terms = dict(brackets.get((i, j), ()))
+        terms[k] = terms.get(k, 0) + delta
+        brackets[(i, j)] = tuple(terms.items())
+        alg = LieAlgebra.create("broken", n, brackets)
+    assume(alg.denominator > 1)
+    assert validate(alg).violations == fraction_jacobi_violations(alg)

@@ -1,6 +1,7 @@
 """The scripts under scripts/ use the public API, which no other test runs them against."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -46,3 +47,19 @@ def test_closed_bound_check_fails_on_a_violation(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["closed_bound_check.py", "20", "0"])
     assert script.main() == 1
     assert "second_bound violations: 0" not in capsys.readouterr().out
+
+
+def test_bench_pair_runs_at_its_smallest_size(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode != 0:
+        pytest.skip("bench_pair.py compares git revisions; this is not a git checkout")
+    worktrees = subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True, text=True).stdout
+    out = tmp_path / "BENCH_test.json"
+    result = run_script("bench_pair.py", "HEAD", "--workloads", "solve", "--seeds", "1", "--seconds", "0.2", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    record = json.loads(out.read_text())
+    assert (record["pairs"], record["workloads"]["solve"]["failed"]) == (1, {"base": 0, "head": 0})
+    assert all(record[side]["src.lines"] > 0 for side in ("base", "head"))
+    m = record["workloads"]["solve"]["metrics"]["cases_per_s"]
+    assert m["head_wins"] in (0, 1) and m["base"]["q1"] == m["base"]["median"] == m["base"]["q3"] > 0
+    # the temporary worktree of the compared revision is gone again
+    assert subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True, text=True).stdout == worktrees
