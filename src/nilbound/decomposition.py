@@ -10,10 +10,10 @@ used by the bound engine.
 
 Operators live in End(V) as row-major flattened vectors of length dimV^2;
 the basis operators of a subspace are its stored primitive integer rows,
-and the rank vectors are integer vectors, so images and spans stay on
-integers. Rank-vector selection is randomized (deterministic per seed); every
-consequence of genericity is afterwards certified exactly by
-verify_decomposition.
+the chain comes from `Representation.ops` and the rank vectors are integer
+vectors, so every operator computation stays on integers. Rank-vector
+selection is randomized (deterministic per seed); every consequence of
+genericity is afterwards certified exactly by verify_decomposition.
 """
 
 from __future__ import annotations
@@ -25,14 +25,17 @@ from typing import Sequence
 
 from nilbound.bounds import BoundProblem, is_feasible
 from nilbound.linalg import (
-    Matrix,
     Subspace,
+    _commutator,
+    _int_matmul,
+    _inverse_rows,
     _kernel,
+    _nilpotent,
+    _sparse_rows,
+    _square_rows,
     complement_extending,
     contains,
     intersect,
-    invert,
-    rat_str,
     span,
 )
 from nilbound.liealg import Filtration, Representation, default_filtration, is_faithful, validate_representation
@@ -75,7 +78,8 @@ def _images(ops: Sequence[Sequence[int]], n: int, v: Sequence[int]) -> list[list
 def chain_from_representation(rep: Representation, filt: Filtration) -> OperatorChain:
     """The image chain rho(n_p) <= ... <= rho(n_1) inside End(V)."""
     amb = rep.dimV ** 2
-    levels = tuple(span([rep.rho(x).flatten() for x in sub.rows], amb) for sub in filt.chain)
+    ops = _sparse_rows(rep.ops[0])  # d * rho(x_k); the common d changes no span
+    levels = tuple(span(_int_matmul(_sparse_rows(sub.rows), ops, amb), amb) for sub in filt.chain)
     return OperatorChain(rep.dimV, levels)
 
 
@@ -137,8 +141,7 @@ def _annihilator(level: Subspace, n: int, v: tuple[int, ...]) -> Subspace:
     if level.dim == 0:
         return level
     coeff_kernel = _kernel(zip(*_images(level.rows, n, v)), level.dim)
-    columns = list(zip(*level.rows))
-    return span([[sum(map(mul, cs, col)) for col in columns] for cs in coeff_kernel.rows], n * n)
+    return span(_int_matmul(_sparse_rows(coeff_kernel.rows), _sparse_rows(level.rows), n * n), n * n)
 
 
 def decompose(rep: Representation, seed: int = 0) -> Decomposition:
@@ -245,10 +248,9 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
                     report.failures.append(f"T_({k},{j}).V is not inside T_({k},{i}).v_{i}")
 
     # moreover clause: needs nilpotent operators and [T_1, T_p] = 0
-    t1_ops = [Matrix.unflatten(op, n, n) for op in chain.levels[0].rows]
-    tp_ops = [Matrix.unflatten(op, n, n) for op in chain.levels[-1].rows]
-    if all(op.is_nilpotent() for op in t1_ops) and all(
-        a.commutator(b).is_zero() for a in t1_ops for b in tp_ops
+    t1_ops, tp_ops = ([_square_rows(op, n) for op in level.rows] for level in (chain.levels[0], chain.levels[-1]))
+    if all(_nilpotent(op, n) for op in t1_ops) and not any(
+        any(map(any, _commutator(a, b, n))) for a in t1_ops for b in tp_ops
     ):
         report.moreover_checked = True
         img = span(_images(dec.grid[(1, 1)].rows, n, dec.vectors[0]), n)
@@ -307,6 +309,13 @@ class BlockReport:
         return not self.failures
 
 
+def _conjugation(ab: AdaptedBasis, n: int):
+    """The map from a flattened operator X to an integer matrix with the zero pattern of P^-1 X P, P with columns B."""
+    ints = list(zip(*ab.basis_vectors))  # the RREF of [P | I] has positive row multiples of P^-1 as its right half
+    change, change_inv = _sparse_rows(ints), _sparse_rows(row[n:] for row in _inverse_rows(ints, 1))
+    return lambda op: _int_matmul(_sparse_rows(_int_matmul(change_inv, _square_rows(op, n), n)), change, n)
+
+
 def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
     """Check the block patterns of every grid operator in the adapted basis.
 
@@ -320,8 +329,7 @@ def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
     s = dec.partition
     top = range(r[0])
     bands = (top, range(r[0], r[0] + ab.q), range(r[0] + ab.q, r[0] + ab.q + s[-1]))
-    change = Matrix.from_rows([[ab.basis_vectors[j][i] for j in range(n)] for i in range(n)])
-    change_inv = invert(change)
+    conjugate = _conjugation(ab, n)
 
     def r_of(t: int) -> int:
         return r[t - 1] if t <= p else 0
@@ -330,7 +338,7 @@ def verify_block_structure(ab: AdaptedBasis, dec: Decomposition) -> BlockReport:
         below = range(r_of(k), r[0])  # rows of the top band below r_k
         for j in range(1, s[k - 1] + 1):
             for idx, row in enumerate(dec.grid[(k, j)].rows):
-                entries = (change_inv @ Matrix.unflatten(row, n, n) @ change).entries
+                entries = conjugate(row)
 
                 def nonzero(rows, cols) -> bool:
                     return any(entries[i][c] for i in rows for c in cols)
@@ -389,7 +397,7 @@ def decomposition_to_json(dec: Decomposition, report: VerificationReport | None 
     out = {
         "space_dim": dec.space_dim,
         "partition": list(dec.partition),
-        "vectors": [[rat_str(x) for x in v] for v in dec.vectors],
+        "vectors": [[str(x) for x in v] for v in dec.vectors],
         "grid_dims": {
             f"{k},{j}": dec.grid[(k, j)].dim
             for k in range(1, dec.p + 1)

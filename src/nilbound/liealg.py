@@ -2,12 +2,12 @@
 
 Structure constants are stored sparsely for i < j only; antisymmetry is
 implicit. Each algebra derives from them, once, a sparse adjoint table
-(`LieAlgebra.ad`) that brackets, the Jacobi check, the center and the
-representation check all read, and it keeps its lower central series and
-center once computed. The table holds the integers D * c_ij^k, with D the
-lcm of the constants' denominators (`LieAlgebra.denominator`), so the Jacobi
-check, the series and the center run on integers; the public `bracket` and
-the representation check divide by D. Everything is exact and immutable.
+(`LieAlgebra.ad`) of the integers D * c_ij^k, D the lcm of the constants'
+denominators (`LieAlgebra.denominator`), and keeps its lower central series
+and center once computed. Brackets, the Jacobi check, the series and the
+center run on that table; the public `bracket` divides by D. The checks of a
+representation run on its matrices as flattened integer rows over one
+common denominator (`Representation.ops`). Everything is exact and immutable.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from nilbound.linalg import (
     Subspace,
     Vector,
     _canonical,
+    _clear_denominators,
+    _commutator,
+    _int_matmul,
     _kernel,
+    _nilpotent,
+    _sparse_rows,
+    _square_rows,
     contains,
     invert,
     rat,
@@ -272,12 +278,11 @@ class Representation:
     dimV: int
     matrices: tuple[Matrix, ...]
 
-    def rho(self, x: Sequence) -> Matrix:
-        return self._combine(enumerate(vec(x)))
-
-    def _combine(self, terms) -> Matrix:
-        """The sum of coeff * rho(x_k) over the (k, coeff) terms."""
-        return Matrix.combination(((c, self.matrices[k]) for k, c in terms), self.dimV, self.dimV)
+    @cached_property
+    def ops(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(O, d) with rho(x_k) = O[k] / d, each O[k] the matrix flattened row-major into integers."""
+        rows, d = _clear_denominators(m.flatten() for m in self.matrices)
+        return tuple(map(tuple, rows)), d
 
 
 def validate_representation(rep: Representation) -> ValidationReport:
@@ -287,21 +292,24 @@ def validate_representation(rep: Representation) -> ValidationReport:
     if len(rep.matrices) != alg.dim:
         report.violations.append("matrix count differs from algebra dimension")
         return report
+    (ops, d), n = rep.ops, rep.dimV
+    flat, square = _sparse_rows(ops), [_square_rows(op, n) for op in ops]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            lhs = rep.matrices[i].commutator(rep.matrices[j])
-            rhs = rep._combine((k, Q(c, alg.denominator)) for k, c in alg.ad[i].get(j, ()))
-            if lhs != rhs:
+            # [O_i / d, O_j / d] = sum_k c_ij^k O_k / d exactly when D [O_i, O_j] = d sum_k (D c_ij^k) O_k
+            lhs = [alg.denominator * x for row in _commutator(square[i], square[j], n) for x in row]
+            (rhs,) = _int_matmul([alg.ad[i].get(j, ())], flat, n * n)
+            if lhs != [d * x for x in rhs]:
                 report.violations.append(f"homomorphism fails on basis pair ({i + 1}, {j + 1})")
-    for i, m in enumerate(rep.matrices):
-        if not m.is_nilpotent():
+    for i, op in enumerate(square):
+        if not _nilpotent(op, n):
             report.violations.append(f"rho(x_{i + 1}) is not nilpotent")
     return report
 
 
 def is_faithful(rep: Representation) -> bool:
     """Rank test on the stacked coordinate map rho: n -> End(V)."""
-    return span([m.flatten() for m in rep.matrices], rep.dimV ** 2).dim == rep.algebra.dim
+    return span(rep.ops[0], rep.dimV ** 2).dim == rep.algebra.dim
 
 
 def algebra_from_matrix_basis(name: str, mats: Sequence[Matrix]) -> tuple[LieAlgebra, Representation]:

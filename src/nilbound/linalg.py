@@ -1,18 +1,19 @@
-"""Exact rational matrices and canonical (reduced row-echelon) subspaces.
+"""Exact rational matrices, integer operator cores and canonical (reduced row-echelon) subspaces.
 
-`Matrix` entries are `fractions.Fraction`s; a product, an image or a linear
-combination is computed on integer numerators over one common denominator,
-and each output entry becomes a `Fraction` once, at the end. A `Subspace`
-stores integers: each RREF row scaled to a primitive integer row with a
-positive pivot entry, so equality is a dataclass comparison and containment
-a residue test; its `Fraction` basis is a view built on demand. Inputs may
-be ints or Fractions. Nothing in here touches floating point, so rank,
-kernel and inclusion tests are exact and deterministic.
+Work is done on integer rows. A `Subspace` stores each RREF row scaled to a
+primitive integer row with a positive pivot entry, so equality is a
+dataclass comparison and containment a residue test. The private cores
+(product, commutator, nilpotency, the elimination of [m | d*I]) take sparse
+integer rows; `Matrix` keeps `Fraction` entries, and its methods and `invert`
+are views that clear denominators, call a core and build each output
+`Fraction` once. Inputs may be ints or Fractions. Nothing in here touches
+floating point, so rank, kernel and inclusion tests are exact.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,16 +25,22 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Q(0)
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to an exact rational; a bool is not a number."""
+    """Coerce ints, Fractions and ASCII "num" or "num/den" strings to an exact rational; a bool is not a number."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+        m = _RATIONAL.fullmatch(x)
+        if m is None:
+            raise ValueError(f"{x!r} is not an integer or a \"num/den\" string")
+        if m[2] is None:
+            return Fraction(int(m[1]))
+        if not int(m[2]):
+            raise ValueError(f"zero denominator in {x!r}")
+        return Fraction(int(m[1]), int(m[2]))
     if isinstance(x, (float, bool)):
         raise TypeError(f"refusing to coerce a {type(x).__name__} to an exact rational")
     return Fraction(x)
@@ -114,13 +121,22 @@ def _rref_rows(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int
     return [r if r[c] > 0 else [-x for x in r] for r, c in zip(work, pivots)], pivots
 
 
-def _unit_rows(rows: list[list[int]], pivots: list[int]) -> tuple[Vector, ...]:
-    """RREF rows as Fractions: each primitive row over its pivot entry."""
-    return tuple(_fraction_row(r, r[c]) for r, c in zip(rows, pivots))
+def _inverse_rows(ints: Sequence[Sequence[int]], d: int) -> list[list[int]]:
+    """The RREF rows of [ints | d*I], d > 0: row i is row[i] > 0 times [e_i | row i of (ints / d)^-1]."""
+    n = len(ints)
+    rows, pivots = _rref_rows([list(r) + [d * (i == j) for j in range(n)] for i, r in enumerate(ints)])
+    if any(c >= n for c in pivots):
+        raise ValueError("matrix is singular")
+    return rows
 
 
-def _sparse_rows(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
+def _sparse_rows(rows: Iterable[Sequence[int]]) -> list[list[tuple[int, int]]]:
     return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+def _square_rows(flat: Sequence[int], n: int) -> list[list[tuple[int, int]]]:
+    """Sparse rows of the n x n integer matrix flattened row-major in flat."""
+    return _sparse_rows(flat[i * n:(i + 1) * n] for i in range(n))
 
 
 def _int_matmul(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]], cols: int) -> list[list[int]]:
@@ -133,6 +149,19 @@ def _int_matmul(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]], 
                 acc[j] += x * y
         out.append(acc)
     return out
+
+
+def _commutator(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]], n: int) -> list[list[int]]:
+    """Dense rows of ab - ba for two sparse integer n x n matrices."""
+    return [[p - q for p, q in zip(r, s)] for r, s in zip(_int_matmul(a, b, n), _int_matmul(b, a, n))]
+
+
+def _nilpotent(a: list[list[tuple[int, int]]], n: int) -> bool:
+    """True iff the sparse integer n x n matrix a has a^n = 0."""
+    power = a
+    for _ in range(n - 1):
+        power = _sparse_rows(_int_matmul(power, a, n))  # cheap once a power is zero
+    return not any(power)
 
 
 @dataclass(frozen=True)
@@ -195,33 +224,15 @@ class Matrix:
         if not self.rows == self.cols == other.rows == other.cols:
             raise DimensionMismatch("commutator needs square matrices of one size")
         (a, da), (b, db) = self._sparse, other._sparse
-        xy, yx = _int_matmul(a, b, self.cols), _int_matmul(b, a, self.cols)
-        return Matrix(tuple(_fraction_row([p - q for p, q in zip(r, s)], da * db) for r, s in zip(xy, yx)))
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
+        return Matrix(tuple(_fraction_row(r, da * db) for r in _commutator(a, b, self.cols)))
 
     def is_nilpotent(self) -> bool:
         """Check M^n = 0 for an n x n matrix (on the integer numerators: scaling keeps zero powers)."""
-        if self.rows != self.cols:
-            return False
-        base = self._sparse[0]
-        power = base
-        for _ in range(self.rows - 1):
-            if not any(power):
-                return True
-            power = _sparse_rows(_int_matmul(power, base, self.cols))
-        return not any(power)
+        return self.rows == self.cols and _nilpotent(self._sparse[0], self.cols)
 
     def flatten(self) -> Vector:
         """Row-major flattening, the coordinates of this matrix inside End(V)."""
         return tuple(x for r in self.entries for x in r)
-
-    @staticmethod
-    def unflatten(v: Vector, rows: int, cols: int) -> "Matrix":
-        if len(v) != rows * cols:
-            raise DimensionMismatch("flat length differs from rows*cols")
-        return Matrix(tuple(tuple(v[i * cols + j] for j in range(cols)) for i in range(rows)))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
@@ -230,8 +241,9 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     Returns (R, rank, pivot_columns); pivot columns are 1-based.
     """
     rows, pivots = _rref_rows(_clear_denominators(m.entries)[0])
+    unit_rows = tuple(_fraction_row(r, r[c]) for r, c in zip(rows, pivots))  # each row over its pivot entry
     zero_rows = ((_ZERO,) * m.cols,) * (m.rows - len(pivots))
-    return Matrix(_unit_rows(rows, pivots) + zero_rows), len(pivots), [c + 1 for c in pivots]
+    return Matrix(unit_rows + zero_rows), len(pivots), [c + 1 for c in pivots]
 
 
 def invert(m: Matrix) -> Matrix:
@@ -239,11 +251,8 @@ def invert(m: Matrix) -> Matrix:
     n = m.rows
     if n != m.cols:
         raise DimensionMismatch("only square matrices are invertible")
-    ints, d = _clear_denominators(m.entries)
-    rows, pivots = _rref_rows([r + [d * (i == j) for j in range(n)] for i, r in enumerate(ints)])
-    if any(c >= n for c in pivots):
-        raise ValueError("matrix is singular")
-    return Matrix(tuple(r[n:] for r in _unit_rows(rows, pivots)))
+    rows = _inverse_rows(*_clear_denominators(m.entries))  # m = ints / d, so each row over r[i] is m^-1
+    return Matrix(tuple(_fraction_row(r[n:], r[i]) for i, r in enumerate(rows)))
 
 
 @dataclass(frozen=True)
@@ -263,11 +272,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def basis(self) -> tuple[Vector, ...]:
-        """The RREF basis rows as Fractions."""
-        return _unit_rows(self.rows, self.pivots)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

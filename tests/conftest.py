@@ -21,7 +21,7 @@ def _bracket_closure(gens: list[Matrix], n: int, max_dim: int) -> list[Matrix] |
     frontier = list(gens)
     while frontier:
         m = frontier.pop()
-        if m.is_zero() or sp.contains_vector(m.flatten()):
+        if not any(map(any, m.entries)) or sp.contains_vector(m.flatten()):
             continue
         frontier.extend(m.commutator(other) for other in mats)
         mats.append(m)

@@ -136,6 +136,12 @@ HEIS_ALGEBRA = {"name": "h", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [[
 HEIS_REPRESENTATION = representation_to_json(make_heisenberg(1)[1])
 # the same matrices with each entry 1 written as a JSON true
 HEIS_MATRICES_WITH_TRUE = [[[True if x == "1" else x for x in row] for row in m] for m in HEIS_REPRESENTATION["matrices"]]
+# x -> E_12 / 2, y -> E_23, z -> E_13 / 2 is a representation, with two entries written as decimals
+HEIS_MATRICES_WITH_DECIMALS = [
+    [["0", "0.5", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+    [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+    [["0", "0", "0.5"], ["0", "0", "0"], ["0", "0", "0"]],
+]
 
 
 def assert_one_error_line(code, out, err):
@@ -172,6 +178,8 @@ def assert_one_error_line(code, out, err):
         ("decompose", {**HEIS_REPRESENTATION, "matrices": HEIS_MATRICES_WITH_TRUE}),
         ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"], [99, "0"]]}]}),
         ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1"], [3, "0"]]}]}),
+        ("analyze", {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": [[3, "1e3"]]}]}),
+        ("decompose", {**HEIS_REPRESENTATION, "matrices": HEIS_MATRICES_WITH_DECIMALS}),
     ],
     ids=[
         "missing-dim",
@@ -198,6 +206,8 @@ def assert_one_error_line(code, out, err):
         "bool-matrix-entry",
         "zero-term-target-out-of-range",
         "zero-term-target-twice",
+        "exponent-coefficient",
+        "decimal-matrix-entry",
     ],
 )
 def test_malformed_input_file_is_one_error_line(tmp_path, capsys, command, data):
@@ -229,8 +239,15 @@ def test_loader_messages_use_the_file_numbering(tmp_path, capsys, entry, message
         (["bound", "{algebra}", "--filtration", "{input}"], {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2}),
         (["family", "nap", "--a", "1", "--p", "2", "-o", "{input}"], None),
         (["bound", "{algebra}", "--filtration", "{input}"], {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, True]]]}),
+        (["bound", "{algebra}", "--filtration", "{input}"], {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, "1_0"]]]}),
     ],
-    ids=["family-parameter-below-1", "filtration-not-multiplicative", "family-output-is-a-file", "filtration-bool-entry"],
+    ids=[
+        "family-parameter-below-1",
+        "filtration-not-multiplicative",
+        "family-output-is-a-file",
+        "filtration-bool-entry",
+        "underscore-filtration-entry",
+    ],
 )
 def test_malformed_argument_is_one_error_line(tmp_path, capsys, heis_files, argv, data):
     path = tmp_path / "input.json"

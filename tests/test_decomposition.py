@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from conftest import conjugated_dense_representation
 from nilbound.decomposition import (
     AdaptedBasis,
     FaithfulnessError,
     OperatorChain,
+    _conjugation,
     build_adapted_basis,
     chain_from_representation,
     decompose,
@@ -19,7 +21,7 @@ from nilbound.decomposition import (
 )
 from nilbound.families import make_abelian, make_heisenberg, make_nabc, make_nap
 from nilbound.liealg import Representation, default_filtration
-from nilbound.linalg import Matrix, Subspace, span
+from nilbound.linalg import Matrix, Subspace, invert, span
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,20 @@ class TestBlockStructure:
         shuffled = AdaptedBasis(ab.r, ab.q, tuple(reversed(ab.basis_vectors)))
         report = verify_block_structure(shuffled, dec)
         assert not report.ok
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_integer_conjugation_keeps_the_zero_patterns(self, seed):
+        # the certificate conjugates with integer multiples of P^-1 and P, P with the columns B
+        dec = decompose(conjugated_dense_representation(seed), seed=0)
+        ab = build_adapted_basis(dec)
+        n = dec.space_dim
+        change = Matrix.from_rows(list(zip(*ab.basis_vectors)))
+        change_inv = invert(change)
+        conjugate = _conjugation(ab, n)
+        for piece in dec.grid.values():
+            for op in piece.rows:
+                exact = change_inv @ Matrix.from_rows([op[i * n:(i + 1) * n] for i in range(n)]) @ change
+                assert [[x != 0 for x in r] for r in conjugate(op)] == [[x != 0 for x in r] for r in exact.entries]
 
 
 class TestProfile:

@@ -109,7 +109,7 @@ class TestValidate:
 class TestBracket:
     def test_heisenberg_x_y_is_z(self, heis):
         alg, _ = heis
-        x, y, z = Subspace.full(3).basis
+        x, y, z = Subspace.full(3).rows
         assert bracket(alg, x, y) == z
 
     def test_antisymmetry_on_diagonal(self, heis):
@@ -184,7 +184,7 @@ class TestSeriesAndCenter:
     def test_center_is_kernel_of_stacked_adjoint(self, dense):
         alg, _ = dense
         n = alg.dim
-        basis = Subspace.full(n).basis
+        basis = Subspace.full(n).rows
         brackets = [[bracket(alg, basis[i], basis[j]) for j in range(n)] for i in range(n)]
         rows = [[brackets[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
         assert center(alg) == kernel_basis(Matrix.from_rows(rows))
@@ -279,7 +279,7 @@ class TestRepresentations:
 
     def test_non_nilpotent_matrix_detected(self, heis):
         alg, _ = heis
-        mats = tuple(Matrix(Subspace.full(3).basis) for _ in range(3))
+        mats = tuple(Matrix.from_rows(Subspace.full(3).rows) for _ in range(3))
         report = validate_representation(Representation(alg, 3, mats))
         assert any("nilpotent" in v for v in report.violations)
 
@@ -375,10 +375,8 @@ small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=5)
 nonzero_rationals = small_rationals.filter(lambda x: x != 0)
 
 
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_validate_matches_the_fraction_reference(data):
-    """On rebased algebras with non-integral constants, some of them broken, the verdicts agree."""
+def draw_rebased(data) -> Representation:
+    """A family in a rebased basis with non-integral constants, its algebra sometimes broken."""
     _, rep = data.draw(st.sampled_from(REFERENCE_FAMILIES))
     mats = rep.matrices
     n = len(mats)
@@ -392,7 +390,7 @@ def test_validate_matches_the_fraction_reference(data):
         )
         for i in range(n)
     ]
-    alg, _ = algebra_from_matrix_basis("rebased", rebased)
+    alg, rep = algebra_from_matrix_basis("rebased", rebased)
     if data.draw(st.booleans()):
         i, j = data.draw(st.sampled_from(list(combinations(range(n), 2))))
         k, delta = data.draw(st.integers(0, n - 1)), data.draw(nonzero_rationals)
@@ -402,4 +400,46 @@ def test_validate_matches_the_fraction_reference(data):
         brackets[(i, j)] = tuple(terms.items())
         alg = LieAlgebra.create("broken", n, brackets)
     assume(alg.denominator > 1)
+    return Representation(alg, rep.dimV, rep.matrices)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_validate_matches_the_fraction_reference(data):
+    """On rebased algebras with non-integral constants, some of them broken, the verdicts agree."""
+    alg = draw_rebased(data).algebra
     assert validate(alg).violations == fraction_jacobi_violations(alg)
+
+
+def fraction_representation_violations(rep: Representation) -> list[str]:
+    """The representation check on the Fraction matrices: commutators, combinations and plain powers."""
+    dim_v, mats = rep.dimV, rep.matrices
+    constants = dict(rep.algebra.brackets)
+    violations = []
+    for i, j in combinations(range(len(mats)), 2):
+        rhs = Matrix.combination([(c, mats[k]) for k, c in constants.get((i, j), ())], dim_v, dim_v)
+        if mats[i].commutator(mats[j]) != rhs:
+            violations.append(f"homomorphism fails on basis pair ({i + 1}, {j + 1})")
+    for i, m in enumerate(mats):
+        power = m
+        for _ in range(dim_v - 1):
+            power = power @ m
+        if any(map(any, power.entries)):
+            violations.append(f"rho(x_{i + 1}) is not nilpotent")
+    return violations
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_validate_representation_matches_the_fraction_reference(data):
+    """On the same rebased matrices, with the algebra sometimes broken and one generator sometimes
+    given a nonzero diagonal entry, the integer check lists what the Fraction one does."""
+    rep = draw_rebased(data)
+    mats = list(rep.matrices)
+    if data.draw(st.booleans()):
+        k, c = data.draw(st.integers(0, len(mats) - 1)), data.draw(nonzero_rationals)
+        corner = Matrix.from_rows([[int(i == j == 0) for j in range(rep.dimV)] for i in range(rep.dimV)])
+        mats[k] = Matrix.combination([(1, mats[k]), (c, corner)], rep.dimV, rep.dimV)
+    rep = Representation(rep.algebra, rep.dimV, tuple(mats))
+    assume(rep.ops[1] > 1)
+    assert validate_representation(rep).violations == fraction_representation_violations(rep)

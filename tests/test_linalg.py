@@ -26,7 +26,12 @@ def M(rows):
 
 
 def identity(n):
-    return Matrix(Subspace.full(n).basis)
+    return Matrix.from_rows(Subspace.full(n).rows)
+
+
+def fraction_basis(sub):
+    """The RREF basis of a subspace as Fractions: each stored row over its pivot entry."""
+    return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(sub.rows, sub.pivots))
 
 
 class TestRref:
@@ -102,6 +107,20 @@ def test_rat_str_round_trip():
     assert rat_str(rat("-3/2")) == "-3/2"
     assert rat_str(rat(7)) == "7"
     assert rat("7") == Fraction(7)
+
+
+def test_rat_parses_signed_integers_and_quotients():
+    assert [rat(x) for x in ("+3", "-0", "007", "-6/4", "+1/3")] == [3, 0, 7, Fraction(-3, 2), Fraction(1, 3)]
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat("1/00")
+
+
+@pytest.mark.parametrize(
+    "text", ["1e3", "1e999999999", "0.5", "1_0", " 1", "1\n", "1/-2", "1/", "/2", "+", "", "\u0661", "inf"]
+)
+def test_rat_refuses_other_strings(text):
+    with pytest.raises(ValueError, match="not an integer"):
+        rat(text)
 
 
 def test_invert():
@@ -211,18 +230,18 @@ def ref_kernel(rows, n):
 def ref_intersect(a, b):
     """x = sum alpha_i a_i = sum beta_j b_j: the alpha half of the kernel of [A^T | -B^T]."""
     n = a.ambient_dim
-    cols = list(a.basis) + [tuple(-x for x in v) for v in b.basis]
+    cols = list(fraction_basis(a)) + [tuple(-x for x in v) for v in fraction_basis(b)]
     rows = [[c[i] for c in cols] for i in range(n)]
     coeffs = ref_kernel(rows, len(cols)) if cols else ()
-    vecs = [[sum(c * v[i] for c, v in zip(k, a.basis)) for i in range(n)] for k in coeffs]
+    vecs = [[sum(c * v[i] for c, v in zip(k, fraction_basis(a))) for i in range(n)] for k in coeffs]
     return ref_span(vecs)
 
 
 def ref_complement(ambient, inner, must):
-    chosen = list(must.basis)
-    current = list(must.basis) + list(inner.basis)
+    chosen = list(fraction_basis(must))
+    current = list(fraction_basis(must)) + list(fraction_basis(inner))
     rank = len(ref_rref(current)[1])
-    for cand in ambient.basis:
+    for cand in fraction_basis(ambient):
         if rank == ambient.dim:
             break
         if len(ref_rref(current + [cand])[1]) > rank:
@@ -241,15 +260,13 @@ def all_fractions(rows):
 
 
 def assert_stored_form(sub):
-    """Each stored row is primitive, its pivot entry is its first nonzero one and positive, and
-    the Fraction basis is each row over its pivot entry."""
+    """Each stored row is primitive, and its pivot entry is its first nonzero one and positive."""
     assert len(sub.rows) == len(sub.pivots) == sub.dim
     assert list(sub.pivots) == sorted(set(sub.pivots))
-    for row, c, unit in zip(sub.rows, sub.pivots, sub.basis):
+    for row, c in zip(sub.rows, sub.pivots):
         assert len(row) == sub.ambient_dim and all(type(x) is int for x in row)
         assert math.gcd(*row) == 1
         assert row[c] > 0 and not any(row[:c])
-        assert unit == tuple(Fraction(x, row[c]) for x in row)
 
 
 wide_entries = st.one_of(
@@ -293,9 +310,9 @@ def test_rref_span_kernel_match_fraction_reference(data):
     assert r == M(reduced) and all_fractions(r.entries)
     assert (rank, pivots1) == (len(pivots), [c + 1 for c in pivots])
     sub = span(m.entries, cols)
-    assert sub.basis == ref_span(m.entries) and all_fractions(sub.basis)
+    assert fraction_basis(sub) == ref_span(m.entries)
     ker = kernel_basis(m)
-    assert ker.basis == ref_kernel(m.entries, cols) and all_fractions(ker.basis)
+    assert fraction_basis(ker) == ref_kernel(m.entries, cols)
     assert_stored_form(sub)
     assert_stored_form(ker)
 
@@ -307,10 +324,10 @@ def test_intersect_and_complement_match_fraction_reference(data):
     a = span(data.draw(rational_rows(data.draw(st.integers(0, 6)), n)), n)
     b = span(data.draw(rational_rows(data.draw(st.integers(0, 6)), n)), n)
     meet = intersect(a, b)
-    assert meet.basis == ref_intersect(a, b) and all_fractions(meet.basis)
+    assert fraction_basis(meet) == ref_intersect(a, b)
     # inner and must_contain inside a, from combinations of its basis
     def inside(k):
-        combos = [[sum(c * v[i] for c, v in zip(cs, a.basis)) for i in range(n)]
+        combos = [[sum(c * v[i] for c, v in zip(cs, fraction_basis(a))) for i in range(n)]
                   for cs in data.draw(rational_rows(k, a.dim))] if a.dim else []
         return span(combos, n)
 
@@ -320,7 +337,7 @@ def test_intersect_and_complement_match_fraction_reference(data):
             complement_extending(a, inner, must)
         return
     comp = complement_extending(a, inner, must)
-    assert comp.basis == ref_complement(a, inner, must) and all_fractions(comp.basis)
+    assert fraction_basis(comp) == ref_complement(a, inner, must)
 
 
 @given(st.data())
@@ -345,3 +362,14 @@ def test_products_and_inverse_match_fraction_reference(data):
     else:
         with pytest.raises(ValueError, match="singular"):
             invert(sq)
+    other = M(data.draw(rational_rows(n, n)))
+    comm = sq.commutator(other)
+    xy, yx = ref_product(sq.entries, other.entries), ref_product(other.entries, sq.entries)
+    assert comm == M([[x - y for x, y in zip(r, t)] for r, t in zip(xy, yx)]) and all_fractions(comm.entries)
+    # a random square matrix is rarely nilpotent, its strictly upper part always is
+    upper = M([[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(sq.entries)])
+    for m in (sq, upper):
+        power = m.entries
+        for _ in range(n - 1):
+            power = ref_product(power, m.entries)
+        assert m.is_nilpotent() == (not any(map(any, power)))
