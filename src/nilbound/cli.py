@@ -31,14 +31,13 @@ from nilbound.liealg import (
     algebra_to_json,
     center,
     default_filtration,
+    filtration_from_json,
     is_nilpotent,
     lower_central_series,
-    make_filtration,
     representation_from_json,
     representation_to_json,
     validate,
 )
-from nilbound.linalg import rat, span
 
 
 class InputError(Exception):
@@ -50,9 +49,10 @@ def _emit(obj) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON in path; a file that cannot be read or decoded, however deep or long, gives an InputError."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -128,12 +128,7 @@ def cmd_solve(args) -> int:
 
 
 def _parse_filtration(alg, path: str):
-    def parse(data):
-        chain_data = data["chain"] if isinstance(data, dict) else data
-        chain = [span([[rat(x) for x in row] for row in sub], alg.dim) for sub in chain_data]
-        return make_filtration(alg, chain)
-
-    return _parse_file(path, "filtration", parse)
+    return _parse_file(path, "filtration", lambda data: filtration_from_json(alg, data))
 
 
 def cmd_bound(args) -> int:

@@ -1,22 +1,18 @@
 """Benchmark families of nilpotent matrix Lie algebras with their defining representations.
 
 Every generator returns (abstract algebra, faithful nilrepresentation) where
-the representation is the defining inclusion by matrix units. Basis order is
-by block in lexicographic block order, row-major inside each block, so the
-emitted structure-constant files are reproducible byte for byte.
+the representation is the defining inclusion by matrix units, integer rows
+over the denominator 1. Basis order is by block in lexicographic block order,
+row-major inside each block, so the emitted files are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from nilbound.linalg import Matrix, Q
 from nilbound.liealg import LieAlgebra, Representation
 
 
-def _unit(dim_v: int, r: int, c: int) -> Matrix:
-    rows = [[Q(1) if (i, j) == (r, c) else Q(0) for j in range(dim_v)] for i in range(dim_v)]
-    return Matrix.from_rows(rows)
+def _unit(dim_v: int, r: int, c: int) -> tuple[int, ...]:
+    return tuple(int(k == r * dim_v + c) for k in range(dim_v * dim_v))  # E_rc flattened row-major
 
 
 def _units_algebra(name: str, dim_v: int, positions: list[tuple[int, int]]) -> tuple[LieAlgebra, Representation]:
@@ -31,21 +27,21 @@ def _units_algebra(name: str, dim_v: int, positions: list[tuple[int, int]]) -> t
         for j, (c, d) in enumerate(positions):
             if i >= j:
                 continue
-            terms: dict[int, Fraction] = {}
+            terms: dict[int, int] = {}
             if b == c:
                 if (a, d) not in index:
                     raise ValueError(f"position set not closed: missing {(a, d)}")
-                terms[index[(a, d)]] = terms.get(index[(a, d)], Q(0)) + 1
+                terms[index[(a, d)]] = terms.get(index[(a, d)], 0) + 1
             if d == a:
                 if (c, b) not in index:
                     raise ValueError(f"position set not closed: missing {(c, b)}")
-                terms[index[(c, b)]] = terms.get(index[(c, b)], Q(0)) - 1
+                terms[index[(c, b)]] = terms.get(index[(c, b)], 0) - 1
             terms = {k: v for k, v in terms.items() if v != 0}
             if terms:
                 brackets[(i, j)] = tuple(sorted(terms.items()))
     names = tuple(f"E{r + 1}_{c + 1}" for r, c in positions)
     alg = LieAlgebra.create(name, len(positions), brackets, names)
-    rep = Representation(alg, dim_v, tuple(_unit(dim_v, r, c) for r, c in positions))
+    rep = Representation(alg, dim_v, (tuple(_unit(dim_v, r, c) for r, c in positions), 1))
     return alg, rep
 
 
@@ -98,7 +94,7 @@ def make_heisenberg(m: int) -> tuple[LieAlgebra, Representation]:
         [f"x{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(m)] + ["z"]
     )
     alg = LieAlgebra(alg.name, alg.dim, names, alg.brackets)
-    return alg, Representation(alg, dim_v, rep.matrices)
+    return alg, Representation(alg, dim_v, rep.ops)
 
 
 def make_abelian(n: int) -> tuple[LieAlgebra, Representation]:

@@ -5,9 +5,10 @@ implicit. Each algebra derives from them, once, a sparse adjoint table
 (`LieAlgebra.ad`) of the integers D * c_ij^k, D the lcm of the constants'
 denominators (`LieAlgebra.denominator`), and keeps its lower central series
 and center once computed. Brackets, the Jacobi check, the series and the
-center run on that table; the public `bracket` divides by D. The checks of a
-representation run on its matrices as flattened integer rows over one
-common denominator (`Representation.ops`). Everything is exact and immutable.
+center run on that table; the public `bracket` divides by D. A
+representation is its matrices as flattened integer rows over one common
+denominator (`Representation.ops`); its `Fraction` matrices are a view. The
+three file formats are parsed here. Everything is exact and immutable.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from nilbound.linalg import (
     Q,
     Subspace,
     Vector,
-    _canonical,
     _clear_denominators,
     _commutator,
+    _fraction_row,
     _int_matmul,
+    _inverse_rows,
     _kernel,
     _nilpotent,
     _sparse_rows,
     _square_rows,
     contains,
-    invert,
     rat,
     rat_str,
     span,
@@ -186,7 +187,7 @@ def validate(alg: LieAlgebra) -> ValidationReport:
 
 def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     # the products of the integer rows, scaled by D, span [a, b]; zero ones change no span
-    return _canonical([w for u in a.rows for v in b.rows if any(w := _bracket(alg, u, v))], alg.dim)
+    return span([w for u in a.rows for v in b.rows if any(w := _bracket(alg, u, v))], alg.dim)
 
 
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
@@ -276,20 +277,20 @@ def validate_filtration(filt: Filtration) -> ValidationReport:
 class Representation:
     algebra: LieAlgebra
     dimV: int
-    matrices: tuple[Matrix, ...]
+    ops: tuple[tuple[tuple[int, ...], ...], int]  # (O, d): rho(x_k) = O[k] / d, O[k] flattened row-major
 
     @cached_property
-    def ops(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(O, d) with rho(x_k) = O[k] / d, each O[k] the matrix flattened row-major into integers."""
-        rows, d = _clear_denominators(m.flatten() for m in self.matrices)
-        return tuple(map(tuple, rows)), d
+    def matrices(self) -> tuple[Matrix, ...]:
+        """The Fraction matrices rho(x_k)."""
+        (ops, d), n = self.ops, self.dimV
+        return tuple(Matrix(tuple(_fraction_row(op[i:i + n], d) for i in range(0, n * n, n))) for op in ops)
 
 
 def validate_representation(rep: Representation) -> ValidationReport:
     """Homomorphism property on all basis pairs; nilpotency of each generator."""
     report = ValidationReport()
     alg = rep.algebra
-    if len(rep.matrices) != alg.dim:
+    if len(rep.ops[0]) != alg.dim:
         report.violations.append("matrix count differs from algebra dimension")
         return report
     (ops, d), n = rep.ops, rep.dimV
@@ -319,31 +320,31 @@ def algebra_from_matrix_basis(name: str, mats: Sequence[Matrix]) -> tuple[LieAlg
     """
     if not mats:
         raise ValueError("empty matrix basis")
-    dim_v = mats[0].rows
-    flat = [m.flatten() for m in mats]
-    pivots = span(flat).pivots
-    if len(pivots) != len(mats):
+    n, k = mats[0].rows, len(mats)
+    if any((m.rows, m.cols) != (n, n) for m in mats):
+        raise DimensionMismatch("the matrices are not all square of one size")
+    ops, d = _clear_denominators(m.flatten() for m in mats)
+    basis = span(ops)
+    if basis.dim != k:
         raise ValueError("matrix basis is linearly dependent")
-    trans = invert(Matrix(tuple(tuple(row[p] for p in pivots) for row in flat)))
-
-    def coords(m: Matrix) -> Vector:
-        # the pivot entries are m's coordinates in the RREF basis, and trans @ flat is that basis
-        v = m.flatten()
-        (out,) = (Matrix((tuple(v[p] for p in pivots),)) @ trans).entries
-        if Matrix.combination(zip(out, mats), dim_v, dim_v) != m:
-            raise ValueError("matrix span is not closed under the bracket")
-        return out
-
+    # A = O on the pivot columns is invertible, and row i of the RREF of [A | I] is r_i [e_i | row i of A^-1]
+    inverse = _inverse_rows([[op[c] for c in basis.pivots] for op in ops], 1)
+    lead = math.lcm(*(row[i] for i, row in enumerate(inverse)))
+    scaled = _sparse_rows([x * (lead // row[i]) for x in row[k:]] for i, row in enumerate(inverse))  # lead * A^-1
+    square = [_square_rows(op, n) for op in ops]
     brackets = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i].commutator(mats[j])
-            terms = tuple((k, c) for k, c in enumerate(coords(comm)) if c != 0)
+    for i in range(k):
+        for j in range(i + 1, k):
+            # [O_i / d, O_j / d] = w / d^2 = sum_m c_m O_m / d, so c = w|pivots A^-1 / d
+            w = [x for row in _commutator(square[i], square[j], n) for x in row]
+            if not basis.contains_vector(w):
+                raise ValueError("matrix span is not closed under the bracket")
+            (coords,) = _int_matmul([[(r, w[c]) for r, c in enumerate(basis.pivots) if w[c]]], scaled, k)
+            terms = tuple((m, Q(x, d * lead)) for m, x in enumerate(coords) if x)
             if terms:
                 brackets[(i, j)] = terms
-    alg = LieAlgebra.create(name, len(mats), brackets)
-    rep = Representation(alg, dim_v, tuple(mats))
-    return alg, rep
+    alg = LieAlgebra.create(name, k, brackets)
+    return alg, Representation(alg, n, (ops, d))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +381,13 @@ def algebra_from_json(data: dict) -> LieAlgebra:
     return LieAlgebra.create(data.get("name", "algebra"), dim, brackets, data.get("basis"))
 
 
+def filtration_from_json(alg: LieAlgebra, data) -> Filtration:
+    """A chain of subspaces, each a list of rational rows, given as {"chain": [...]} or as the bare list."""
+    chain_data = data["chain"] if isinstance(data, dict) else data
+    chain = [span(_clear_denominators([[rat(x) for x in row] for row in sub])[0], alg.dim) for sub in chain_data]
+    return make_filtration(alg, chain)
+
+
 def representation_to_json(rep: Representation) -> dict:
     return {
         "algebra": algebra_to_json(rep.algebra),
@@ -396,4 +404,4 @@ def representation_from_json(data: dict) -> Representation:
     for m in mats:
         if (m.rows, m.cols) != (dim_v, dim_v):
             raise DimensionMismatch("representation matrix is not dimV x dimV")
-    return Representation(alg, dim_v, mats)
+    return Representation(alg, dim_v, _clear_denominators(m.flatten() for m in mats))

@@ -1,12 +1,13 @@
 """Exact rational matrices, integer operator cores and canonical (reduced row-echelon) subspaces.
 
-Work is done on integer rows. A `Subspace` stores each RREF row scaled to a
-primitive integer row with a positive pivot entry, so equality is a
-dataclass comparison and containment a residue test. The private cores
-(product, commutator, nilpotency, the elimination of [m | d*I]) take sparse
-integer rows; `Matrix` keeps `Fraction` entries, and its methods and `invert`
-are views that clear denominators, call a core and build each output
-`Fraction` once. Inputs may be ints or Fractions. Nothing in here touches
+Work is done on integer rows: `span`, the `Subspace` operations and the
+private cores (product, commutator, nilpotency, the elimination of [m | d*I])
+take rows of ints, and a rational input is cleared of denominators once, where
+it is parsed. A `Subspace` stores each RREF row scaled to a primitive integer
+row with a positive pivot entry, so equality is a dataclass comparison and
+containment a residue test. `Matrix` keeps `Fraction` entries; it, its
+methods, `rref`, `kernel_basis` and `invert` are views that clear denominators,
+call a core and build each output `Fraction` once. Nothing in here touches
 floating point, so rank, kernel and inclusion tests are exact.
 """
 
@@ -65,13 +66,11 @@ class DimensionMismatch(ValueError):
 # ---------------------------------------------------------------------------
 # integer kernel: rows of ints, or of (column, int) pairs for the nonzero entries
 
-def _clear_denominators(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
-    """Integer rows N and one common denominator d with rows == N / d (entries int or Fraction)."""
-    rows = [list(r) for r in rows]
+def _clear_denominators(rows: Iterable[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows N and one common denominator d, the lcm of the entries' ones, with rows == N / d."""
+    rows = list(rows)
     d = math.lcm(*{x.denominator for r in rows for x in r})
-    if d == 1:
-        return [[x.numerator for x in r] for r in rows], 1
-    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in r) for r in rows), d
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -191,21 +190,6 @@ class Matrix:
             raise DimensionMismatch("ragged rows")
         return Matrix(data)
 
-    @staticmethod
-    def combination(terms: Iterable[tuple[Fraction, "Matrix"]], rows: int, cols: int) -> "Matrix":
-        """The sum of c * M over the (c, M) terms, every M of shape rows x cols."""
-        terms = [(rat(c), m) for c, m in terms if c]
-        if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
-            raise DimensionMismatch("matrix shapes differ")
-        den = math.lcm(*(c.denominator * m._sparse[1] for c, m in terms))
-        acc = [[0] * cols for _ in range(rows)]
-        for c, m in terms:
-            f = c.numerator * (den // (c.denominator * m._sparse[1]))
-            for arow, srow in zip(acc, m._sparse[0]):
-                for j, x in srow:
-                    arow[j] += f * x
-        return Matrix(tuple(_fraction_row(r, den) for r in acc))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
@@ -282,48 +266,40 @@ class Subspace:
         rows = tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
         return Subspace(ambient_dim, rows, tuple(range(ambient_dim)))
 
-    def _residual(self, row: Sequence[int]) -> Sequence[int]:
-        """An integer row reduced against the basis; zero iff the row lies in the subspace."""
-        for prow, c in zip(self.rows, self.pivots):
-            if row[c]:
-                row = _eliminate(row, prow, c)
-        return row
-
-    def contains_vector(self, v: Sequence) -> bool:
+    def contains_vector(self, v: Sequence[int]) -> bool:
+        """True iff the integer row v reduces to zero against the basis."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return not any(self._residual(_clear_denominators([v])[0][0]))
+        for prow, c in zip(self.rows, self.pivots):
+            if v[c]:
+                v = _eliminate(v, prow, c)
+        return not any(v)
 
 
-def _canonical(rows: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
-    """The span of integer rows, all of length ambient_dim."""
-    reduced, pivots = _rref_rows(rows)
-    return Subspace(ambient_dim, tuple(map(tuple, reduced)), tuple(pivots))
-
-
-def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspace:
-    """Canonical form of the linear hull of vectors of ints or Fractions."""
-    rows = _clear_denominators(vectors)[0]
+def span(vectors: Iterable[Sequence[int]], ambient_dim: int | None = None) -> Subspace:
+    """Canonical form of the linear hull of integer rows."""
+    rows = list(vectors)
     if ambient_dim is None:
         if not rows:
             raise ValueError("ambient_dim required for an empty spanning set")
         ambient_dim = len(rows[0])
     if any(len(r) != ambient_dim for r in rows):
         raise DimensionMismatch("ambient dimensions differ")
-    return _canonical(rows, ambient_dim)
+    reduced, pivots = _rref_rows(rows)
+    return Subspace(ambient_dim, tuple(map(tuple, reduced)), tuple(pivots))
 
 
 def contains(outer: Subspace, inner: Subspace) -> bool:
     """True iff inner is a subset of outer."""
     if outer.ambient_dim != inner.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return not any(any(outer._residual(row)) for row in inner.rows)
+    return all(outer.contains_vector(row) for row in inner.rows)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return _canonical(a.rows + b.rows, a.ambient_dim)
+    return span(a.rows + b.rows, a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -359,7 +335,7 @@ def _kernel(rows: Iterable[Sequence[int]], cols: int) -> Subspace:
         for r, c in zip(rows, pivots):
             v[c] = -r[f] * (lead // r[c])
         basis.append(v)
-    return _canonical(basis, cols)
+    return span(basis, cols)
 
 
 def complement_extending(ambient: Subspace, inner: Subspace, must_contain: Subspace) -> Subspace:
@@ -384,8 +360,8 @@ def complement_extending(ambient: Subspace, inner: Subspace, must_contain: Subsp
     for cand in ambient.rows:
         if current.dim == target:
             break
-        if any(current._residual(cand)):
+        if not current.contains_vector(cand):
             chosen.append(cand)
-            current = _canonical([*current.rows, cand], n)
+            current = span([*current.rows, cand], n)
     assert current.dim == target, "ambient basis failed to complete the complement"
-    return _canonical(chosen, n)
+    return span(chosen, n)

@@ -1,9 +1,55 @@
-"""Shared generators: random strictly upper triangular matrix subalgebras and a dense conjugate of their representation."""
+"""Shared test helpers.
 
+Generators: random strictly upper triangular matrix subalgebras and a dense
+conjugate of their representation. Oracles: plain nested-loop `Fraction`
+combination, product and commutator of matrices, which share no code with
+the integer cores in `nilbound.linalg` they are used to check.
+"""
+
+import math
 import random
+from fractions import Fraction
 
 from nilbound.liealg import LieAlgebra, Representation, algebra_from_matrix_basis
 from nilbound.linalg import Matrix, Q, Subspace, invert, span
+
+
+def integer_rows(rows) -> list[list[int]]:
+    """Rows of ints or Fractions times the lcm of their denominators: integer rows with the same span."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[int(x * d) for x in r] for r in rows]
+
+
+def representation_of(alg: LieAlgebra, dim_v: int, mats) -> Representation:
+    """The representation x_k -> mats[k], each a `Matrix` or a list of rows of ints or Fractions."""
+    flat = [[Fraction(x) for row in getattr(m, "entries", m) for x in row] for m in mats]
+    d = math.lcm(*(x.denominator for r in flat for x in r))
+    return Representation(alg, dim_v, (tuple(tuple(int(x * d) for x in r) for r in flat), d))
+
+
+def frac_combination(terms, n: int) -> Matrix:
+    """The sum of c * m over the (c, m) terms, every m an n x n `Matrix`."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c, m in terms:
+        for i in range(n):
+            for j in range(n):
+                out[i][j] += Fraction(c) * m.entries[i][j]
+    return Matrix(tuple(map(tuple, out)))
+
+
+def frac_product(a: Matrix, b: Matrix) -> Matrix:
+    out = [[Fraction(0)] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a.entries[i][k] * b.entries[k][j]
+    return Matrix(tuple(map(tuple, out)))
+
+
+def frac_commutator(a: Matrix, b: Matrix) -> Matrix:
+    ab, ba = frac_product(a, b), frac_product(b, a)
+    return Matrix(tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab.entries, ba.entries)))
 
 
 def _random_strict_upper(rng: random.Random, n: int) -> Matrix:
@@ -21,11 +67,11 @@ def _bracket_closure(gens: list[Matrix], n: int, max_dim: int) -> list[Matrix] |
     frontier = list(gens)
     while frontier:
         m = frontier.pop()
-        if not any(map(any, m.entries)) or sp.contains_vector(m.flatten()):
+        if not any(map(any, m.entries)) or sp.contains_vector(integer_rows([m.flatten()])[0]):
             continue
-        frontier.extend(m.commutator(other) for other in mats)
+        frontier.extend(frac_commutator(m, other) for other in mats)
         mats.append(m)
-        sp = span([x.flatten() for x in mats], n * n)
+        sp = span(integer_rows(x.flatten() for x in mats), n * n)
         if len(mats) > max_dim:
             return None
     return mats
@@ -58,6 +104,6 @@ def conjugated_dense_representation(seed: int) -> Representation:
     n = rep.dimV
     lower = Matrix.from_rows([[Q(i - j, j + 2) if i > j else Q(int(i == j)) for j in range(n)] for i in range(n)])
     upper = Matrix.from_rows([[Q((-1) ** j * (i + j), i + 3) if j > i else Q(int(i == j)) for j in range(n)] for i in range(n)])
-    s = lower @ upper
+    s = frac_product(lower, upper)
     s_inv = invert(s)
-    return Representation(alg, n, tuple(s @ m @ s_inv for m in rep.matrices))
+    return representation_of(alg, n, [frac_product(frac_product(s, m), s_inv) for m in rep.matrices])

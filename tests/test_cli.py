@@ -232,6 +232,45 @@ def test_loader_messages_use_the_file_numbering(tmp_path, capsys, entry, message
     assert (code, err) == (1, f"error: malformed algebra file {path}: {message}\n")
 
 
+HEIS_MATRIX_2X2 = [["0", "1"], ["0", "0"]]
+
+
+@pytest.mark.parametrize(
+    "matrices, message",
+    [
+        ([[["0", "1", "0"], ["0", "0"], ["0", "0", "0"]]] + HEIS_REPRESENTATION["matrices"][1:], "ragged rows"),
+        ([HEIS_MATRIX_2X2] + HEIS_REPRESENTATION["matrices"][1:], "representation matrix is not dimV x dimV"),
+        (
+            [HEIS_MATRIX_2X2, [["0", "0", "0"], ["0", "0", "x"], ["0", "0", "0"]]] + HEIS_REPRESENTATION["matrices"][2:],
+            "'x' is not an integer or a \"num/den\" string",
+        ),
+        ("abc", "'a' is not an integer or a \"num/den\" string"),
+    ],
+    ids=["ragged-row", "wrong-shape", "bad-entry-after-wrong-shape", "matrices-as-a-string"],
+)
+def test_representation_loader_messages(tmp_path, capsys, matrices, message):
+    # every entry is read before any shape is checked, so a bad entry wins over an earlier wrong shape
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**HEIS_REPRESENTATION, "matrices": matrices}))
+    code, _, err = run(capsys, "decompose", str(path))
+    assert (code, err) == (1, f"error: malformed representation file {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{}", b'{"dim": ' + b"1" * 4301 + b"}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf-8", "integer-past-the-digit-limit", "nesting-past-the-recursion-limit"],
+)
+@pytest.mark.parametrize("command", ["bound", "analyze", "decompose", "bound --filtration"])
+def test_undecodable_input_file_is_one_error_line(tmp_path, capsys, heis_files, command, raw):
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    argv = ["bound", str(heis_files[0]), "--filtration", str(path)] if " " in command else [command, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
 @pytest.mark.parametrize(
     "argv, data",
     [

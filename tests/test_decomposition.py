@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import conjugated_dense_representation
+from conftest import conjugated_dense_representation, frac_product
 from nilbound.decomposition import (
     AdaptedBasis,
     FaithfulnessError,
@@ -36,8 +36,7 @@ def n112_rep():
 
 def e12_on_k2() -> Representation:
     alg, _ = make_abelian(1)
-    mat = Matrix.from_rows([[0, 1], [0, 0]])
-    return Representation(alg, 2, (mat,))
+    return Representation(alg, 2, (((0, 1, 0, 0),), 1))
 
 
 class TestRankVector:
@@ -47,7 +46,7 @@ class TestRankVector:
         assert dims == (2, 1)
 
     def test_single_level_e12(self):
-        chain = OperatorChain(2, (span([Matrix.from_rows([[0, 1], [0, 0]]).flatten()]),))
+        chain = OperatorChain(2, (span([(0, 1, 0, 0)]),))
         v, dims = find_rank_vector(chain, random.Random(0))
         assert dims == (1,)
         assert v[1] != 0
@@ -77,8 +76,7 @@ class TestDecompose:
 
     def test_unfaithful_rejected(self):
         alg, _ = make_abelian(2)
-        mat = Matrix.from_rows([[0, 1], [0, 0]])
-        rep = Representation(alg, 2, (mat, mat))
+        rep = Representation(alg, 2, (((0, 1, 0, 0),) * 2, 1))
         with pytest.raises(FaithfulnessError):
             decompose(rep, seed=0)
 
@@ -165,7 +163,8 @@ class TestBlockStructure:
         conjugate = _conjugation(ab, n)
         for piece in dec.grid.values():
             for op in piece.rows:
-                exact = change_inv @ Matrix.from_rows([op[i * n:(i + 1) * n] for i in range(n)]) @ change
+                square = Matrix.from_rows([op[i * n:(i + 1) * n] for i in range(n)])
+                exact = frac_product(frac_product(change_inv, square), change)
                 assert [[x != 0 for x in r] for r in conjugate(op)] == [[x != 0 for x in r] for r in exact.entries]
 
 
@@ -193,8 +192,8 @@ class TestProfile:
 
 
 def test_chain_rejects_non_nested_levels():
-    top = span([Matrix.from_rows([[0, 1], [0, 0]]).flatten()])
-    other = span([Matrix.from_rows([[0, 0], [1, 0]]).flatten()])
+    top = span([(0, 1, 0, 0)])  # E_12 flattened row-major
+    other = span([(0, 0, 1, 0)])  # E_21
     with pytest.raises(ValueError, match="not contained"):
         OperatorChain(2, (top, other))
 

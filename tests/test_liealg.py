@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_upper_triangular_subalgebra
+from conftest import (
+    conjugated_dense_representation,
+    frac_combination,
+    frac_commutator,
+    frac_product,
+    random_upper_triangular_subalgebra,
+    representation_of,
+)
 from nilbound.families import make_abelian, make_heisenberg, make_nabc, make_nap
 from nilbound.liealg import (
     LieAlgebra,
@@ -51,9 +58,8 @@ def dense_rational_algebra(seed: int) -> tuple[LieAlgebra, Representation]:
     _, rep = random_upper_triangular_subalgebra(seed)
     mats = rep.matrices
     rebased = [
-        Matrix.combination(
+        frac_combination(
             [(1, m)] + [(Q(j - i, 2 * j + 3) * (-1) ** j, mats[j]) for j in range(i + 1, len(mats))],
-            rep.dimV,
             rep.dimV,
         )
         for i, m in enumerate(mats)
@@ -84,8 +90,9 @@ class TestValidate:
         alg, rep = dense
         assert validate(alg).ok
         assert validate_representation(rep).ok
-        swapped = rep.matrices[1:2] + rep.matrices[:1] + rep.matrices[2:]
-        assert not validate_representation(Representation(alg, rep.dimV, swapped)).ok
+        ops, d = rep.ops
+        swapped = ops[1:2] + ops[:1] + ops[2:]
+        assert not validate_representation(Representation(alg, rep.dimV, (swapped, d))).ok
 
     def test_violations_listed_in_triple_order(self):
         alg = LieAlgebra.create("broken5", 5, {
@@ -274,18 +281,17 @@ class TestRepresentations:
 
     def test_homomorphism_failure_detected(self, heis):
         alg, rep = heis
-        bad = Representation(alg, rep.dimV, rep.matrices[:2] + (Matrix.from_rows([[0] * 3] * 3),))
+        bad = representation_of(alg, rep.dimV, rep.matrices[:2] + ([[0] * 3] * 3,))
         assert not validate_representation(bad).ok
 
     def test_non_nilpotent_matrix_detected(self, heis):
         alg, _ = heis
-        mats = tuple(Matrix.from_rows(Subspace.full(3).rows) for _ in range(3))
-        report = validate_representation(Representation(alg, 3, mats))
+        report = validate_representation(representation_of(alg, 3, [Subspace.full(3).rows] * 3))
         assert any("nilpotent" in v for v in report.violations)
 
     def test_zero_rep_not_faithful(self, heis):
         alg, _ = heis
-        rep = Representation(alg, 2, tuple(Matrix.from_rows([[0] * 2] * 2) for _ in range(3)))
+        rep = representation_of(alg, 2, [[[0] * 2] * 2] * 3)
         assert not is_faithful(rep)
 
     def test_matrix_basis_rejects_dependent_or_open_spans(self):
@@ -293,10 +299,19 @@ class TestRepresentations:
         with pytest.raises(ValueError, match="empty"):
             algebra_from_matrix_basis("none", [])
         with pytest.raises(ValueError, match="linearly dependent"):
-            algebra_from_matrix_basis("twice", [e12, Matrix.combination([(3, e12)], 2, 2)])
+            algebra_from_matrix_basis("twice", [e12, frac_combination([(3, e12)], 2)])
         # [E_12, E_21] = E_11 - E_22 lies outside span{E_12, E_21}
         with pytest.raises(ValueError, match="not closed"):
             algebra_from_matrix_basis("sl2-part", [e12, e21])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matrix_basis_of_a_dense_conjugate_keeps_the_constants(self, seed):
+        # conjugation keeps the structure constants; here d > 1 and the pivot block is not a unit block
+        alg, _ = random_upper_triangular_subalgebra(seed)
+        dense = conjugated_dense_representation(seed)
+        again, rep = algebra_from_matrix_basis("again", dense.matrices)
+        assert again.brackets == alg.brackets
+        assert rep.ops == dense.ops and rep.ops[1] > 1
 
 
 class TestJsonRoundTrip:
@@ -382,10 +397,9 @@ def draw_rebased(data) -> Representation:
     n = len(mats)
     # y_i = s_i x_i + sum_{j > i} t_ij x_j with s_i != 0: triangular, so an invertible change of basis
     rebased = [
-        Matrix.combination(
+        frac_combination(
             [(data.draw(nonzero_rationals), mats[i])]
             + [(data.draw(small_rationals), mats[j]) for j in range(i + 1, n)],
-            rep.dimV,
             rep.dimV,
         )
         for i in range(n)
@@ -400,7 +414,7 @@ def draw_rebased(data) -> Representation:
         brackets[(i, j)] = tuple(terms.items())
         alg = LieAlgebra.create("broken", n, brackets)
     assume(alg.denominator > 1)
-    return Representation(alg, rep.dimV, rep.matrices)
+    return Representation(alg, rep.dimV, rep.ops)
 
 
 @given(st.data())
@@ -412,18 +426,18 @@ def test_validate_matches_the_fraction_reference(data):
 
 
 def fraction_representation_violations(rep: Representation) -> list[str]:
-    """The representation check on the Fraction matrices: commutators, combinations and plain powers."""
+    """The representation check on the Fraction matrices, with the nested-loop oracles of conftest."""
     dim_v, mats = rep.dimV, rep.matrices
     constants = dict(rep.algebra.brackets)
     violations = []
     for i, j in combinations(range(len(mats)), 2):
-        rhs = Matrix.combination([(c, mats[k]) for k, c in constants.get((i, j), ())], dim_v, dim_v)
-        if mats[i].commutator(mats[j]) != rhs:
+        rhs = frac_combination([(c, mats[k]) for k, c in constants.get((i, j), ())], dim_v)
+        if frac_commutator(mats[i], mats[j]) != rhs:
             violations.append(f"homomorphism fails on basis pair ({i + 1}, {j + 1})")
     for i, m in enumerate(mats):
         power = m
         for _ in range(dim_v - 1):
-            power = power @ m
+            power = frac_product(power, m)
         if any(map(any, power.entries)):
             violations.append(f"rho(x_{i + 1}) is not nilpotent")
     return violations
@@ -439,7 +453,7 @@ def test_validate_representation_matches_the_fraction_reference(data):
     if data.draw(st.booleans()):
         k, c = data.draw(st.integers(0, len(mats) - 1)), data.draw(nonzero_rationals)
         corner = Matrix.from_rows([[int(i == j == 0) for j in range(rep.dimV)] for i in range(rep.dimV)])
-        mats[k] = Matrix.combination([(1, mats[k]), (c, corner)], rep.dimV, rep.dimV)
-    rep = Representation(rep.algebra, rep.dimV, tuple(mats))
+        mats[k] = frac_combination([(1, mats[k]), (c, corner)], rep.dimV)
+    rep = representation_of(rep.algebra, rep.dimV, mats)
     assume(rep.ops[1] > 1)
     assert validate_representation(rep).violations == fraction_representation_violations(rep)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import integer_rows
 from nilbound.linalg import (
     DimensionMismatch,
     Matrix,
@@ -171,7 +172,7 @@ def test_span_is_canonical_under_row_shuffling(m, rnd, data):
     moved = [tuple(c * x for x in r) for c, r in zip(scales, rows)]
     rnd.shuffle(moved)
     negated = [tuple(-x for x in r) for r in rows]
-    assert span(rows, m.cols) == span(moved, m.cols) == span(negated, m.cols)
+    assert span(integer_rows(rows), m.cols) == span(integer_rows(moved), m.cols) == span(integer_rows(negated), m.cols)
 
 
 @given(st.integers(2, 4), st.data())
@@ -182,7 +183,7 @@ def test_complement_properties(n, data):
     inner_rows = data.draw(
         st.lists(st.lists(small_rationals, min_size=n, max_size=n), min_size=k, max_size=k)
     )
-    inner = span(inner_rows, n)
+    inner = span(integer_rows(inner_rows), n)
     c = complement_extending(ambient, inner, Subspace.zero(n))
     assert c.dim + inner.dim == n
     assert intersect(c, inner).dim == 0
@@ -309,7 +310,7 @@ def test_rref_span_kernel_match_fraction_reference(data):
     r, rank, pivots1 = rref(m)
     assert r == M(reduced) and all_fractions(r.entries)
     assert (rank, pivots1) == (len(pivots), [c + 1 for c in pivots])
-    sub = span(m.entries, cols)
+    sub = span(integer_rows(m.entries), cols)
     assert fraction_basis(sub) == ref_span(m.entries)
     ker = kernel_basis(m)
     assert fraction_basis(ker) == ref_kernel(m.entries, cols)
@@ -321,15 +322,15 @@ def test_rref_span_kernel_match_fraction_reference(data):
 @settings(max_examples=100, deadline=None)
 def test_intersect_and_complement_match_fraction_reference(data):
     n = data.draw(st.integers(1, 9))
-    a = span(data.draw(rational_rows(data.draw(st.integers(0, 6)), n)), n)
-    b = span(data.draw(rational_rows(data.draw(st.integers(0, 6)), n)), n)
+    a = span(integer_rows(data.draw(rational_rows(data.draw(st.integers(0, 6)), n))), n)
+    b = span(integer_rows(data.draw(rational_rows(data.draw(st.integers(0, 6)), n))), n)
     meet = intersect(a, b)
     assert fraction_basis(meet) == ref_intersect(a, b)
     # inner and must_contain inside a, from combinations of its basis
     def inside(k):
         combos = [[sum(c * v[i] for c, v in zip(cs, fraction_basis(a))) for i in range(n)]
                   for cs in data.draw(rational_rows(k, a.dim))] if a.dim else []
-        return span(combos, n)
+        return span(integer_rows(combos), n)
 
     inner, must = inside(data.draw(st.integers(0, 3))), inside(data.draw(st.integers(0, 2)))
     if ref_intersect(must, inner):
