@@ -3,8 +3,10 @@
     python3 scripts/bench_pair.py REV --workloads bound,decompose \
         --seeds 101-110 [--seconds 35] --out BENCH_<n>.json
 
-REV is checked out with `git worktree add` under a temporary directory,
-which is removed again at the end. For each workload and seed,
+REV is checked out with `git worktree add` under a temporary directory, and
+this checkout is copied next to it: its tracked files and its untracked files
+that are not ignored, as they are in the working tree. Both are removed again
+at the end, so each side runs from a fresh tree. For each workload and seed,
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` runs once in
 each tree, one after the other; the tree that goes first alternates from
 pair to pair, so a slow phase of the machine hits both sides alike. Each
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,6 +37,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def copy_checkout(dest: Path) -> None:
+    """Copy this checkout's tracked files, and its untracked files that are not ignored, into dest."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():  # a tracked file deleted in the working tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -97,16 +108,17 @@ def main(argv=None) -> int:
     base_rev = git("rev-parse", args.rev)
     head = {"rev": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "base"
+        tree, head_tree = Path(tmp) / "base", Path(tmp) / "head"
+        copy_checkout(head_tree)
         git("worktree", "add", "--detach", str(tree), base_rev)
         try:
             runs = {w: {"base": [], "head": []} for w in args.workloads}
-            order = [("base", tree), ("head", ROOT)]
+            order = [("base", tree), ("head", head_tree)]
             for i, (workload, seed) in enumerate((w, s) for w in args.workloads for s in args.seeds):
                 for side, path in order if i % 2 == 0 else order[::-1]:
                     runs[workload][side].append(run_bench(path, workload, seed, seconds))
                     print(f"{workload} seed {seed} {side}: failed {runs[workload][side][-1]['failed']}", file=sys.stderr)
-            lines = {"base": src_lines(tree), "head": src_lines(ROOT)}
+            lines = {"base": src_lines(tree), "head": src_lines(head_tree)}
         finally:
             git("worktree", "remove", "--force", str(tree))
 

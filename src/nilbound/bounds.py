@@ -322,10 +322,8 @@ def lower_bound_report(alg: LieAlgebra, filtration: Filtration | None = None) ->
     """Full lower-bound report over every admissible p0 of the filtration."""
     if filtration is None:
         filtration = default_filtration(alg)
-    else:
-        report = validate_filtration(filtration)
-        if not report.ok:
-            raise ValueError("invalid filtration: " + "; ".join(report.violations))
+    elif violations := validate_filtration(filtration):
+        raise ValueError("invalid filtration: " + "; ".join(violations))
     admissible = admissible_p0_set(filtration)
     dims = filtration.dims
     per_p0 = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -70,9 +71,8 @@ def _parse_file(path: str, what: str, parse):
 def _load_algebra(path: str):
     """The algebra in path; one that fails the Jacobi check gives an InputError."""
     alg = _parse_file(path, "algebra", algebra_from_json)
-    report = validate(alg)
-    if not report.ok:
-        raise InputError("invalid algebra: " + "; ".join(report.violations))
+    if violations := validate(alg):
+        raise InputError("invalid algebra: " + "; ".join(violations))
     return alg
 
 
@@ -246,13 +246,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the flush at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail too
+        return 1
 
 
 if __name__ == "__main__":

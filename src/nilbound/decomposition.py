@@ -151,9 +151,8 @@ def decompose(rep: Representation, seed: int = 0) -> Decomposition:
     matrix Jacobi identity back to the algebra, so that needs no check of its
     own; a non-nilpotent algebra raises NotNilpotentError.
     """
-    val = validate_representation(rep)
-    if not val.ok:
-        raise ValueError("invalid representation: " + "; ".join(val.violations))
+    if violations := validate_representation(rep):
+        raise ValueError("invalid representation: " + "; ".join(violations))
     if not is_faithful(rep):
         raise FaithfulnessError("representation is not faithful")
     return decompose_chain(chain_from_representation(rep, default_filtration(rep.algebra)), seed=seed)

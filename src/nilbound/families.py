@@ -15,11 +15,12 @@ def _unit(dim_v: int, r: int, c: int) -> tuple[int, ...]:
     return tuple(int(k == r * dim_v + c) for k in range(dim_v * dim_v))  # E_rc flattened row-major
 
 
-def _units_algebra(name: str, dim_v: int, positions: list[tuple[int, int]]) -> tuple[LieAlgebra, Representation]:
+def _units_algebra(name: str, dim_v: int, positions: list[tuple[int, int]],
+                   names: tuple[str, ...] | None = None) -> tuple[LieAlgebra, Representation]:
     """Algebra spanned by matrix units E_{rc} at the given 0-based positions.
 
     [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb; the position set must be
-    closed under this product.
+    closed under this product. The names default to E{r+1}_{c+1}.
     """
     index = {pos: i for i, pos in enumerate(positions)}
     brackets = {}
@@ -39,7 +40,7 @@ def _units_algebra(name: str, dim_v: int, positions: list[tuple[int, int]]) -> t
             terms = {k: v for k, v in terms.items() if v != 0}
             if terms:
                 brackets[(i, j)] = tuple(sorted(terms.items()))
-    names = tuple(f"E{r + 1}_{c + 1}" for r, c in positions)
+    names = names or tuple(f"E{r + 1}_{c + 1}" for r, c in positions)
     alg = LieAlgebra.create(name, len(positions), brackets, names)
     rep = Representation(alg, dim_v, (tuple(_unit(dim_v, r, c) for r, c in positions), 1))
     return alg, rep
@@ -89,12 +90,8 @@ def make_heisenberg(m: int) -> tuple[LieAlgebra, Representation]:
     _check_params(m=m)
     dim_v = m + 2
     positions = [(0, 1 + i) for i in range(m)] + [(1 + i, m + 1) for i in range(m)] + [(0, m + 1)]
-    alg, rep = _units_algebra(f"heisenberg_{m}", dim_v, positions)
-    names = tuple(
-        [f"x{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(m)] + ["z"]
-    )
-    alg = LieAlgebra(alg.name, alg.dim, names, alg.brackets)
-    return alg, Representation(alg, dim_v, rep.ops)
+    names = tuple([f"x{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(m)] + ["z"])
+    return _units_algebra(f"heisenberg_{m}", dim_v, positions, names)
 
 
 def make_abelian(n: int) -> tuple[LieAlgebra, Representation]:

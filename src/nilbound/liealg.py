@@ -8,13 +8,14 @@ and center once computed. Brackets, the Jacobi check, the series and the
 center run on that table; the public `bracket` divides by D. A
 representation is its matrices as flattened integer rows over one common
 denominator (`Representation.ops`); its `Fraction` matrices are a view. The
-three file formats are parsed here. Everything is exact and immutable.
+file formats are parsed here, every row by one reader (`_rows`), and the
+checks return lists of violations. Everything is exact and immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -154,24 +155,15 @@ def bracket(alg: LieAlgebra, u: Sequence, v: Sequence) -> Vector:
     return tuple(Q(x, alg.denominator) for x in _bracket(alg, vec(u), vec(v)))
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(alg: LieAlgebra) -> ValidationReport:
-    """Check the Jacobi identity on all basis triples; never raises.
+def validate(alg: LieAlgebra) -> list[str]:
+    """The Jacobi violations on basis triples, none for a Lie algebra; never raises.
 
     A basis element with no brackets is central, and every triple holding
     one satisfies the identity, so only triples of the others are summed.
     The sums are taken on the integer table: each is D^2 times the rational
     one, so it is zero exactly when that one is.
     """
-    report = ValidationReport()
+    violations = []
     ad = alg.ad
     for i, j, k in combinations([i for i, row in enumerate(ad) if row], 3):
         total: dict[int, int] = {}
@@ -181,8 +173,8 @@ def validate(alg: LieAlgebra) -> ValidationReport:
                 for m, outer in ad[a].get(l, ()):
                     total[m] = total.get(m, 0) + inner * outer
         if any(x != 0 for x in total.values()):
-            report.violations.append(f"Jacobi fails at triple ({i + 1}, {j + 1}, {k + 1})")
-    return report
+            violations.append(f"Jacobi fails at triple ({i + 1}, {j + 1}, {k + 1})")
+    return violations
 
 
 def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -251,26 +243,27 @@ def admissible_p0_set(filt: Filtration) -> list[int]:
     return [k + 1 for k, sub in enumerate(filt.chain) if contains(z, sub)]
 
 
-def validate_filtration(filt: Filtration) -> ValidationReport:
-    report = ValidationReport()
+def validate_filtration(filt: Filtration) -> list[str]:
+    """The violated filtration conditions, none for a filtration."""
+    violations = []
     alg = filt.algebra
     p = filt.p
     if filt.chain[0] != Subspace.full(alg.dim):
-        report.violations.append("n_1 is not the whole algebra")
+        violations.append("n_1 is not the whole algebra")
     if filt.chain[-1].dim == 0:
-        report.violations.append("n_p is zero")
+        violations.append("n_p is zero")
     for k in range(p - 1):
         if not contains(filt.chain[k], filt.chain[k + 1]):
-            report.violations.append(f"n_{k + 2} is not contained in n_{k + 1}")
+            violations.append(f"n_{k + 2} is not contained in n_{k + 1}")
     for i in range(1, p + 1):
         for j in range(i, p + 1):  # [n_i, n_j] = [n_j, n_i]
             prod = bracket_subspaces(alg, filt.chain[i - 1], filt.chain[j - 1])
             if i + j > p:
                 if prod.dim != 0:
-                    report.violations.append(f"[n_{i}, n_{j}] is nonzero but n_{i + j} = 0")
+                    violations.append(f"[n_{i}, n_{j}] is nonzero but n_{i + j} = 0")
             elif not contains(filt.chain[i + j - 1], prod):
-                report.violations.append(f"[n_{i}, n_{j}] is not contained in n_{i + j}")
-    return report
+                violations.append(f"[n_{i}, n_{j}] is not contained in n_{i + j}")
+    return violations
 
 
 @dataclass(frozen=True)
@@ -286,13 +279,12 @@ class Representation:
         return tuple(Matrix(tuple(_fraction_row(op[i:i + n], d) for i in range(0, n * n, n))) for op in ops)
 
 
-def validate_representation(rep: Representation) -> ValidationReport:
-    """Homomorphism property on all basis pairs; nilpotency of each generator."""
-    report = ValidationReport()
+def validate_representation(rep: Representation) -> list[str]:
+    """The violations of the homomorphism property on basis pairs and of each generator's nilpotency."""
     alg = rep.algebra
     if len(rep.ops[0]) != alg.dim:
-        report.violations.append("matrix count differs from algebra dimension")
-        return report
+        return ["matrix count differs from algebra dimension"]
+    violations = []
     (ops, d), n = rep.ops, rep.dimV
     flat, square = _sparse_rows(ops), [_square_rows(op, n) for op in ops]
     for i in range(alg.dim):
@@ -301,11 +293,11 @@ def validate_representation(rep: Representation) -> ValidationReport:
             lhs = [alg.denominator * x for row in _commutator(square[i], square[j], n) for x in row]
             (rhs,) = _int_matmul([alg.ad[i].get(j, ())], flat, n * n)
             if lhs != [d * x for x in rhs]:
-                report.violations.append(f"homomorphism fails on basis pair ({i + 1}, {j + 1})")
+                violations.append(f"homomorphism fails on basis pair ({i + 1}, {j + 1})")
     for i, op in enumerate(square):
         if not _nilpotent(op, n):
-            report.violations.append(f"rho(x_{i + 1}) is not nilpotent")
-    return report
+            violations.append(f"rho(x_{i + 1}) is not nilpotent")
+    return violations
 
 
 def is_faithful(rep: Representation) -> bool:
@@ -313,17 +305,17 @@ def is_faithful(rep: Representation) -> bool:
     return span(rep.ops[0], rep.dimV ** 2).dim == rep.algebra.dim
 
 
-def algebra_from_matrix_basis(name: str, mats: Sequence[Matrix]) -> tuple[LieAlgebra, Representation]:
+def algebra_from_matrix_basis(name: str, mats: Sequence[Sequence[Sequence]]) -> tuple[LieAlgebra, Representation]:
     """Abstract algebra + defining representation from a linearly independent matrix basis.
 
-    Raises if the matrices are dependent or their span is not bracket-closed.
+    Each matrix is rows of ints or Fractions; raises if they are dependent or their span is not bracket-closed.
     """
     if not mats:
         raise ValueError("empty matrix basis")
-    n, k = mats[0].rows, len(mats)
-    if any((m.rows, m.cols) != (n, n) for m in mats):
+    n, k = len(mats[0]), len(mats)
+    if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
         raise DimensionMismatch("the matrices are not all square of one size")
-    ops, d = _clear_denominators(m.flatten() for m in mats)
+    ops, d = _clear_denominators([x for row in m for x in row] for m in mats)
     basis = span(ops)
     if basis.dim != k:
         raise ValueError("matrix basis is linearly dependent")
@@ -362,6 +354,13 @@ def _require_object(data, what: str) -> None:
         raise TypeError(f"{what} must be a JSON object, not {type(data).__name__}")
 
 
+def _require_list(data, what: str) -> list:
+    """data if it is a JSON list; a string or an object is refused rather than iterated."""
+    if not isinstance(data, list):
+        raise TypeError(f"{what} must be a list, not {type(data).__name__}")
+    return data
+
+
 def _require_int(x, what: str) -> int:
     """x if it is a JSON integer; a float is refused rather than truncated, and a bool is not a number."""
     if type(x) is not int:
@@ -369,23 +368,30 @@ def _require_int(x, what: str) -> int:
     return x
 
 
+def _rows(data, what: str) -> list[list[Fraction]]:
+    """A JSON list of rows, each a JSON list of numbers read with one rat: the one reader of a file's rows."""
+    return [[rat(x) for x in _require_list(row, f"a row of {what}")] for row in _require_list(data, what)]
+
+
 def algebra_from_json(data: dict) -> LieAlgebra:
     _require_object(data, "an algebra")
     dim = _require_int(data["dim"], "dim")
     brackets = {}
-    for entry in data.get("brackets", []):
+    for entry in _require_list(data.get("brackets", []), "brackets"):
+        _require_object(entry, "a bracket entry")
         i, j = _require_int(entry["i"], "i") - 1, _require_int(entry["j"], "j") - 1
         if (i, j) in brackets:
             raise ValueError(f"{_pair(i, j)} is given twice")
-        brackets[(i, j)] = tuple((_require_int(k, "a term index") - 1, rat(c)) for k, c in entry["terms"])
-    return LieAlgebra.create(data.get("name", "algebra"), dim, brackets, data.get("basis"))
+        terms = (_require_list(term, "a term") for term in _require_list(entry["terms"], "terms"))
+        brackets[(i, j)] = tuple((_require_int(k, "a term index") - 1, rat(c)) for k, c in terms)
+    basis = _require_list(data["basis"], "basis") if "basis" in data else None
+    return LieAlgebra.create(data.get("name", "algebra"), dim, brackets, basis)
 
 
 def filtration_from_json(alg: LieAlgebra, data) -> Filtration:
     """A chain of subspaces, each a list of rational rows, given as {"chain": [...]} or as the bare list."""
-    chain_data = data["chain"] if isinstance(data, dict) else data
-    chain = [span(_clear_denominators([[rat(x) for x in row] for row in sub])[0], alg.dim) for sub in chain_data]
-    return make_filtration(alg, chain)
+    chain = _require_list(data["chain"] if isinstance(data, dict) else data, "chain")
+    return make_filtration(alg, [span(_clear_denominators(_rows(sub, "a subspace"))[0], alg.dim) for sub in chain])
 
 
 def representation_to_json(rep: Representation) -> dict:
@@ -397,11 +403,15 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data: dict) -> Representation:
+    """Every matrix is read, and checked for ragged rows, before any is checked against dimV."""
     _require_object(data, "a representation")
     alg = algebra_from_json(data["algebra"])
     dim_v = _require_int(data["dimV"], "dimV")
-    mats = tuple(Matrix.from_rows(m) for m in data["matrices"])
-    for m in mats:
-        if (m.rows, m.cols) != (dim_v, dim_v):
-            raise DimensionMismatch("representation matrix is not dimV x dimV")
-    return Representation(alg, dim_v, _clear_denominators(m.flatten() for m in mats))
+    mats = []
+    for m in _require_list(data["matrices"], "matrices"):
+        mats.append(_rows(m, "a matrix"))
+        if len({len(row) for row in mats[-1]}) > 1:
+            raise DimensionMismatch("ragged rows")
+    if any(len(m) != dim_v or any(len(row) != dim_v for row in m) for m in mats):
+        raise DimensionMismatch("representation matrix is not dimV x dimV")
+    return Representation(alg, dim_v, _clear_denominators([x for row in m for x in row] for m in mats))

@@ -5,10 +5,11 @@ private cores (product, commutator, nilpotency, the elimination of [m | d*I])
 take rows of ints, and a rational input is cleared of denominators once, where
 it is parsed. A `Subspace` stores each RREF row scaled to a primitive integer
 row with a positive pivot entry, so equality is a dataclass comparison and
-containment a residue test. `Matrix` keeps `Fraction` entries; it, its
-methods, `rref`, `kernel_basis` and `invert` are views that clear denominators,
-call a core and build each output `Fraction` once. Nothing in here touches
-floating point, so rank, kernel and inclusion tests are exact.
+containment a residue test. `Matrix` keeps `Fraction` entries and is only a
+view: no input is read into one. It, its methods, `rref`, `kernel_basis` and
+`invert` clear denominators, call a core and build each output `Fraction`
+once. Nothing in here touches floating point, so rank, kernel and inclusion
+tests are exact.
 """
 
 from __future__ import annotations
@@ -183,13 +184,6 @@ class Matrix:
         ints, d = _clear_denominators(self.entries)
         return _sparse_rows(ints), d
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(vec(r) for r in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise DimensionMismatch("ragged rows")
-        return Matrix(data)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
@@ -213,10 +207,6 @@ class Matrix:
     def is_nilpotent(self) -> bool:
         """Check M^n = 0 for an n x n matrix (on the integer numerators: scaling keeps zero powers)."""
         return self.rows == self.cols and _nilpotent(self._sparse[0], self.cols)
-
-    def flatten(self) -> Vector:
-        """Row-major flattening, the coordinates of this matrix inside End(V)."""
-        return tuple(x for r in self.entries for x in r)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:

@@ -14,6 +14,11 @@ from nilbound.liealg import LieAlgebra, Representation, algebra_from_matrix_basi
 from nilbound.linalg import Matrix, Q, Subspace, invert, span
 
 
+def frac_matrix(rows) -> Matrix:
+    """The `Fraction` matrix with these rows of ints, Fractions or "num/den" strings."""
+    return Matrix(tuple(tuple(map(Fraction, r)) for r in rows))
+
+
 def integer_rows(rows) -> list[list[int]]:
     """Rows of ints or Fractions times the lcm of their denominators: integer rows with the same span."""
     rows = [[Fraction(x) for x in r] for r in rows]
@@ -57,7 +62,7 @@ def _random_strict_upper(rng: random.Random, n: int) -> Matrix:
         [Q(rng.randint(-2, 2)) if j > i else Q(0) for j in range(n)]
         for i in range(n)
     ]
-    return Matrix.from_rows(rows)
+    return frac_matrix(rows)
 
 
 def _bracket_closure(gens: list[Matrix], n: int, max_dim: int) -> list[Matrix] | None:
@@ -67,11 +72,11 @@ def _bracket_closure(gens: list[Matrix], n: int, max_dim: int) -> list[Matrix] |
     frontier = list(gens)
     while frontier:
         m = frontier.pop()
-        if not any(map(any, m.entries)) or sp.contains_vector(integer_rows([m.flatten()])[0]):
+        if not any(map(any, m.entries)) or sp.contains_vector(integer_rows([[x for r in m.entries for x in r]])[0]):
             continue
         frontier.extend(frac_commutator(m, other) for other in mats)
         mats.append(m)
-        sp = span(integer_rows(x.flatten() for x in mats), n * n)
+        sp = span(integer_rows([y for r in x.entries for y in r] for x in mats), n * n)
         if len(mats) > max_dim:
             return None
     return mats
@@ -91,7 +96,7 @@ def random_upper_triangular_subalgebra(
         gens = [_random_strict_upper(rng, dim_v) for _ in range(rng.randint(2, 3))]
         mats = _bracket_closure(gens, dim_v, max_dim)
         if mats:
-            return algebra_from_matrix_basis(f"rand_{seed}", mats)
+            return algebra_from_matrix_basis(f"rand_{seed}", [m.entries for m in mats])
 
 
 def conjugated_dense_representation(seed: int) -> Representation:
@@ -102,8 +107,8 @@ def conjugated_dense_representation(seed: int) -> Representation:
     """
     alg, rep = random_upper_triangular_subalgebra(seed)
     n = rep.dimV
-    lower = Matrix.from_rows([[Q(i - j, j + 2) if i > j else Q(int(i == j)) for j in range(n)] for i in range(n)])
-    upper = Matrix.from_rows([[Q((-1) ** j * (i + j), i + 3) if j > i else Q(int(i == j)) for j in range(n)] for i in range(n)])
+    lower = frac_matrix([[Q(i - j, j + 2) if i > j else Q(int(i == j)) for j in range(n)] for i in range(n)])
+    upper = frac_matrix([[Q((-1) ** j * (i + j), i + 3) if j > i else Q(int(i == j)) for j in range(n)] for i in range(n)])
     s = frac_product(lower, upper)
     s_inv = invert(s)
     return representation_of(alg, n, [frac_product(frac_product(s, m), s_inv) for m in rep.matrices])

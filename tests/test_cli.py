@@ -3,7 +3,11 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,6 @@ from nilbound.liealg import (
     default_filtration,
     representation_to_json,
 )
-from nilbound.linalg import Matrix
 
 
 @pytest.fixture
@@ -244,7 +247,7 @@ HEIS_MATRIX_2X2 = [["0", "1"], ["0", "0"]]
             [HEIS_MATRIX_2X2, [["0", "0", "0"], ["0", "0", "x"], ["0", "0", "0"]]] + HEIS_REPRESENTATION["matrices"][2:],
             "'x' is not an integer or a \"num/den\" string",
         ),
-        ("abc", "'a' is not an integer or a \"num/den\" string"),
+        ("abc", "matrices must be a list, not str"),
     ],
     ids=["ragged-row", "wrong-shape", "bad-entry-after-wrong-shape", "matrices-as-a-string"],
 )
@@ -254,6 +257,106 @@ def test_representation_loader_messages(tmp_path, capsys, matrices, message):
     path.write_text(json.dumps({**HEIS_REPRESENTATION, "matrices": matrices}))
     code, _, err = run(capsys, "decompose", str(path))
     assert (code, err) == (1, f"error: malformed representation file {path}: {message}\n")
+
+
+NABC_121 = algebra_to_json(make_family("nabc", a=1, b=2, c=1)[0])
+HEIS_ROWS = HEIS_REPRESENTATION["matrices"]
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        # nabc(1,2,1) has mu = 4; read as abelian, these two gave a "lower bound" of 5 with exit 0
+        ("bound", {**NABC_121, "brackets": ""}, "brackets must be a list, not str"),
+        (
+            "bound",
+            {**NABC_121, "brackets": [{**e, "terms": {}} for e in NABC_121["brackets"]]},
+            "terms must be a list, not dict",
+        ),
+        (
+            "analyze",
+            {**HEIS_ALGEBRA, "brackets": [[1, 2, [[3, "1"]]]]},
+            "a bracket entry must be a JSON object, not list",
+        ),
+        (
+            "analyze",
+            {**HEIS_ALGEBRA, "brackets": [{"i": 1, "j": 2, "terms": ["31"]}]},
+            "a term must be a list, not str",
+        ),
+        ("analyze", {**HEIS_ALGEBRA, "basis": "xyz"}, "basis must be a list, not str"),
+        (
+            "decompose",
+            {**HEIS_REPRESENTATION, "algebra": {**HEIS_ALGEBRA, "brackets": {}}},
+            "brackets must be a list, not dict",
+        ),
+        ("decompose", {**HEIS_REPRESENTATION, "matrices": {"x": HEIS_ROWS[0]}}, "matrices must be a list, not dict"),
+        ("decompose", {**HEIS_REPRESENTATION, "matrices": ["000"] * 3}, "a matrix must be a list, not str"),
+        (
+            "decompose",
+            {**HEIS_REPRESENTATION, "matrices": [["".join(row) for row in m] for m in HEIS_ROWS]},
+            "a row of a matrix must be a list, not str",
+        ),
+        (
+            "decompose",
+            {**HEIS_REPRESENTATION, "matrices": [[dict(enumerate(row)) for row in m] for m in HEIS_ROWS]},
+            "a row of a matrix must be a list, not dict",
+        ),
+        ("bound --filtration", {"chain": "abc"}, "chain must be a list, not str"),
+        (
+            "bound --filtration",
+            {"chain": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], {"0": [0, 0, 1]}]},
+            "a subspace must be a list, not dict",
+        ),
+        (
+            "bound --filtration",
+            {"chain": [["100", "010", "001"], ["001"]]},
+            "a row of a subspace must be a list, not str",
+        ),
+    ],
+    ids=[
+        "brackets-as-a-string",
+        "terms-as-objects",
+        "bracket-entry-as-a-list",
+        "term-as-a-string",
+        "basis-as-a-string",
+        "representation-brackets-as-an-object",
+        "matrices-as-an-object",
+        "matrix-as-a-string",
+        "matrix-rows-as-digit-strings",
+        "matrix-rows-as-objects",
+        "chain-as-a-string",
+        "subspace-as-an-object",
+        "subspace-rows-as-digit-strings",
+    ],
+)
+def test_a_list_field_of_another_type_is_named(tmp_path, capsys, heis_files, command, data, message):
+    # a string or an object where a list belongs was iterated: by its characters or by its keys
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if " " in command:
+        argv, what = ["bound", str(heis_files[0]), "--filtration", str(path)], "filtration"
+    else:
+        argv, what = [command, str(path)], "representation" if command == "decompose" else "algebra"
+    assert run(capsys, *argv) == (1, "", f"error: malformed {what} file {path}: {message}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(heis_files, unbuffered):
+    # unbuffered, the print itself fails; buffered, the data waits for a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilbound.cli", "decompose", str(heis_files[1])],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize(
@@ -499,8 +602,7 @@ class TestDecompose:
 
     def test_sl2_in_a_nilpotent_basis_rejected(self, tmp_path, capsys):
         # a faithful representation whose generators are all nilpotent, of a non-nilpotent algebra
-        mats = [Matrix.from_rows(m) for m in ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]])]
-        _, rep = algebra_from_matrix_basis("sl2", mats)
+        _, rep = algebra_from_matrix_basis("sl2", [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]]])
         path = tmp_path / "sl2.representation.json"
         path.write_text(json.dumps(representation_to_json(rep)))
         assert run(capsys, "decompose", str(path)) == (1, "", "error: algebra 'sl2' is not nilpotent\n")

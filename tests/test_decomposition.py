@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import conjugated_dense_representation, frac_product
+from conftest import conjugated_dense_representation, frac_matrix, frac_product
 from nilbound.decomposition import (
     AdaptedBasis,
     FaithfulnessError,
@@ -21,7 +21,7 @@ from nilbound.decomposition import (
 )
 from nilbound.families import make_abelian, make_heisenberg, make_nabc, make_nap
 from nilbound.liealg import Representation, default_filtration
-from nilbound.linalg import Matrix, Subspace, invert, span
+from nilbound.linalg import Subspace, invert, span
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +158,12 @@ class TestBlockStructure:
         dec = decompose(conjugated_dense_representation(seed), seed=0)
         ab = build_adapted_basis(dec)
         n = dec.space_dim
-        change = Matrix.from_rows(list(zip(*ab.basis_vectors)))
+        change = frac_matrix(list(zip(*ab.basis_vectors)))
         change_inv = invert(change)
         conjugate = _conjugation(ab, n)
         for piece in dec.grid.values():
             for op in piece.rows:
-                square = Matrix.from_rows([op[i * n:(i + 1) * n] for i in range(n)])
+                square = frac_matrix([op[i * n:(i + 1) * n] for i in range(n)])
                 exact = frac_product(frac_product(change_inv, square), change)
                 assert [[x != 0 for x in r] for r in conjugate(op)] == [[x != 0 for x in r] for r in exact.entries]
 

@@ -95,8 +95,8 @@ ALL_SMALL = [
 @pytest.mark.parametrize("tag,params", ALL_SMALL)
 def test_generated_representations_validate(tag, params):
     alg, rep = make_family(tag, **params)
-    assert validate(alg).ok
-    assert validate_representation(rep).ok
+    assert validate(alg) == []
+    assert validate_representation(rep) == []
     assert is_faithful(rep)
 
 

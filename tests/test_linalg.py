@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integer_rows
+from conftest import frac_matrix, integer_rows
 from nilbound.linalg import (
     DimensionMismatch,
     Matrix,
@@ -22,12 +22,8 @@ from nilbound.linalg import (
 )
 
 
-def M(rows):
-    return Matrix.from_rows(rows)
-
-
 def identity(n):
-    return Matrix.from_rows(Subspace.full(n).rows)
+    return frac_matrix(Subspace.full(n).rows)
 
 
 def fraction_basis(sub):
@@ -37,7 +33,7 @@ def fraction_basis(sub):
 
 class TestRref:
     def test_proportional_rows(self):
-        _, rank, pivots = rref(M([[1, 2], [2, 4]]))
+        _, rank, pivots = rref(frac_matrix([[1, 2], [2, 4]]))
         assert rank == 1
         assert pivots == [1]
 
@@ -48,21 +44,21 @@ class TestRref:
         assert r == identity(2)
 
     def test_single_nonzero_entry(self):
-        _, rank, pivots = rref(M([[0, 1], [0, 0]]))
+        _, rank, pivots = rref(frac_matrix([[0, 1], [0, 0]]))
         assert rank == 1
         assert pivots == [2]
 
 
 class TestKernel:
     def test_e12_on_k2(self):
-        ker = kernel_basis(M([[0, 1], [0, 0]]))
+        ker = kernel_basis(frac_matrix([[0, 1], [0, 0]]))
         assert ker == span([[1, 0]])
 
     def test_identity_kernel_is_zero(self):
         assert kernel_basis(identity(3)).dim == 0
 
     def test_zero_matrix_kernel_is_full(self):
-        assert kernel_basis(M([[0] * 3] * 3)) == Subspace.full(3)
+        assert kernel_basis(frac_matrix([[0] * 3] * 3)) == Subspace.full(3)
 
 
 class TestSubspaceOps:
@@ -125,7 +121,7 @@ def test_rat_refuses_other_strings(text):
 
 
 def test_invert():
-    m = M([[2, 1], [1, 1]])
+    m = frac_matrix([[2, 1], [1, 1]])
     assert invert(m) @ m == identity(2)
 
 
@@ -146,7 +142,7 @@ def matrices(draw, max_dim=4):
     entries = draw(
         st.lists(st.lists(small_rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
     )
-    return Matrix.from_rows(entries)
+    return frac_matrix(entries)
 
 
 @given(matrices())
@@ -305,10 +301,10 @@ def shapes(draw):
 @settings(max_examples=150, deadline=None)
 def test_rref_span_kernel_match_fraction_reference(data):
     rows, cols = data.draw(shapes())
-    m = M(data.draw(rational_rows(rows, cols)))
+    m = frac_matrix(data.draw(rational_rows(rows, cols)))
     reduced, pivots = ref_rref(m.entries)
     r, rank, pivots1 = rref(m)
-    assert r == M(reduced) and all_fractions(r.entries)
+    assert r == frac_matrix(reduced) and all_fractions(r.entries)
     assert (rank, pivots1) == (len(pivots), [c + 1 for c in pivots])
     sub = span(integer_rows(m.entries), cols)
     assert fraction_basis(sub) == ref_span(m.entries)
@@ -346,29 +342,29 @@ def test_intersect_and_complement_match_fraction_reference(data):
 def test_products_and_inverse_match_fraction_reference(data):
     rows, inner = data.draw(shapes())
     cols = data.draw(st.integers(1, 9))
-    a = M(data.draw(rational_rows(rows, inner)))
-    b = M(data.draw(rational_rows(inner, cols)))
+    a = frac_matrix(data.draw(rational_rows(rows, inner)))
+    b = frac_matrix(data.draw(rational_rows(inner, cols)))
     prod = a @ b
-    assert prod == M(ref_product(a.entries, b.entries)) and all_fractions(prod.entries)
+    assert prod == frac_matrix(ref_product(a.entries, b.entries)) and all_fractions(prod.entries)
     v = data.draw(st.lists(wide_entries, min_size=inner, max_size=inner))
     image = a.apply(v)
     assert image == tuple(ref_product(a.entries, [[x] for x in v])[i][0] for i in range(rows))
     assert all_fractions([image])
     n = data.draw(st.integers(1, 6))
-    sq = M(data.draw(rational_rows(n, n)))
+    sq = frac_matrix(data.draw(rational_rows(n, n)))
     aug, pivots = ref_rref([list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(sq.entries)])
     if all(c < n for c in pivots):
         inv = invert(sq)
-        assert inv == M([r[n:] for r in aug]) and all_fractions(inv.entries)
+        assert inv == frac_matrix([r[n:] for r in aug]) and all_fractions(inv.entries)
     else:
         with pytest.raises(ValueError, match="singular"):
             invert(sq)
-    other = M(data.draw(rational_rows(n, n)))
+    other = frac_matrix(data.draw(rational_rows(n, n)))
     comm = sq.commutator(other)
     xy, yx = ref_product(sq.entries, other.entries), ref_product(other.entries, sq.entries)
-    assert comm == M([[x - y for x, y in zip(r, t)] for r, t in zip(xy, yx)]) and all_fractions(comm.entries)
+    assert comm == frac_matrix([[x - y for x, y in zip(r, t)] for r, t in zip(xy, yx)]) and all_fractions(comm.entries)
     # a random square matrix is rarely nilpotent, its strictly upper part always is
-    upper = M([[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(sq.entries)])
+    upper = frac_matrix([[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(sq.entries)])
     for m in (sq, upper):
         power = m.entries
         for _ in range(n - 1):
