@@ -3,10 +3,11 @@
     python3 scripts/bench_pair.py REV --workloads bound,decompose \
         --seeds 101-110 [--seconds 35] --out BENCH_<n>.json
 
-REV is checked out with `git worktree add` under a temporary directory, and
-this checkout is copied next to it: its tracked files and its untracked files
-that are not ignored, as they are in the working tree. Both are removed again
-at the end, so each side runs from a fresh tree. For each workload and seed,
+REV is exported with `git archive` into a temporary directory, and this
+checkout is copied next to it: its tracked files and its untracked files that
+are not ignored, as they are in the working tree. Both are removed again at
+the end, so each side runs from a fresh tree, and the repository gains no
+worktree. For each workload and seed,
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` runs once in
 each tree, one after the other; the tree that goes first alternates from
 pair to pair, so a slow phase of the machine hits both sides alike. Each
@@ -23,12 +24,14 @@ BENCHMARK.json.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -45,6 +48,13 @@ def copy_checkout(dest: Path) -> None:
         if name and (ROOT / name).is_file():  # a tracked file deleted in the working tree is left out
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)
+
+
+def export_revision(rev: str, dest: Path) -> None:
+    """Write the files of rev into dest."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -110,17 +120,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tree, head_tree = Path(tmp) / "base", Path(tmp) / "head"
         copy_checkout(head_tree)
-        git("worktree", "add", "--detach", str(tree), base_rev)
-        try:
-            runs = {w: {"base": [], "head": []} for w in args.workloads}
-            order = [("base", tree), ("head", head_tree)]
-            for i, (workload, seed) in enumerate((w, s) for w in args.workloads for s in args.seeds):
-                for side, path in order if i % 2 == 0 else order[::-1]:
-                    runs[workload][side].append(run_bench(path, workload, seed, seconds))
-                    print(f"{workload} seed {seed} {side}: failed {runs[workload][side][-1]['failed']}", file=sys.stderr)
-            lines = {"base": src_lines(tree), "head": src_lines(head_tree)}
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        export_revision(base_rev, tree)
+        runs = {w: {"base": [], "head": []} for w in args.workloads}
+        order = [("base", tree), ("head", head_tree)]
+        for i, (workload, seed) in enumerate((w, s) for w in args.workloads for s in args.seeds):
+            for side, path in order if i % 2 == 0 else order[::-1]:
+                runs[workload][side].append(run_bench(path, workload, seed, seconds))
+                print(f"{workload} seed {seed} {side}: failed {runs[workload][side][-1]['failed']}", file=sys.stderr)
+        lines = {"base": src_lines(tree), "head": src_lines(head_tree)}
 
     record = {
         "seeds": args.seeds,

@@ -10,6 +10,7 @@ runs the exact solver, and `verify-paper` the whole reproduction grid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -206,7 +207,9 @@ def cmd_verify_paper(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="nilbound")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -243,9 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help exits here with its text still in the stdout buffer
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not in the flush at exit
         return code

@@ -368,6 +368,13 @@ def _require_int(x, what: str) -> int:
     return x
 
 
+def _require_str(x, what: str) -> str:
+    """x if it is a JSON string; a name is echoed in every report, so no other value stands in for one."""
+    if not isinstance(x, str):
+        raise TypeError(f"{what} must be a string, not {type(x).__name__}")
+    return x
+
+
 def _rows(data, what: str) -> list[list[Fraction]]:
     """A JSON list of rows, each a JSON list of numbers read with one rat: the one reader of a file's rows."""
     return [[rat(x) for x in _require_list(row, f"a row of {what}")] for row in _require_list(data, what)]
@@ -384,8 +391,10 @@ def algebra_from_json(data: dict) -> LieAlgebra:
             raise ValueError(f"{_pair(i, j)} is given twice")
         terms = (_require_list(term, "a term") for term in _require_list(entry["terms"], "terms"))
         brackets[(i, j)] = tuple((_require_int(k, "a term index") - 1, rat(c)) for k, c in terms)
-    basis = _require_list(data["basis"], "basis") if "basis" in data else None
-    return LieAlgebra.create(data.get("name", "algebra"), dim, brackets, basis)
+    basis = None
+    if "basis" in data:
+        basis = [_require_str(x, "a basis entry") for x in _require_list(data["basis"], "basis")]
+    return LieAlgebra.create(_require_str(data.get("name", "algebra"), "name"), dim, brackets, basis)
 
 
 def filtration_from_json(alg: LieAlgebra, data) -> Filtration:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -340,9 +341,43 @@ def test_a_list_field_of_another_type_is_named(tmp_path, capsys, heis_files, com
     assert run(capsys, *argv) == (1, "", f"error: malformed {what} file {path}: {message}\n")
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_1_without_a_traceback(heis_files, unbuffered):
-    # unbuffered, the print itself fails; buffered, the data waits for a flush
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("analyze", {**HEIS_ALGEBRA, "name": ["h"]}, "name must be a string, not list"),
+        ("analyze", {**HEIS_ALGEBRA, "basis": [1, None, {"a": 2}]}, "a basis entry must be a string, not int"),
+        ("bound", {**HEIS_ALGEBRA, "name": 7}, "name must be a string, not int"),
+        ("bound", {**HEIS_ALGEBRA, "basis": ["x", None, "z"]}, "a basis entry must be a string, not NoneType"),
+        (
+            "decompose",
+            {**HEIS_REPRESENTATION, "algebra": {**HEIS_ALGEBRA, "name": {"a": 2}}},
+            "name must be a string, not dict",
+        ),
+        (
+            "decompose",
+            {**HEIS_REPRESENTATION, "algebra": {**HEIS_ALGEBRA, "basis": ["x", "y", ["z"]]}},
+            "a basis entry must be a string, not list",
+        ),
+    ],
+    ids=[
+        "analyze-name-as-a-list",
+        "analyze-basis-entries-of-other-types",
+        "bound-name-as-a-number",
+        "bound-basis-entry-null",
+        "decompose-name-as-an-object",
+        "decompose-basis-entry-as-a-list",
+    ],
+)
+def test_a_name_of_another_type_is_named(tmp_path, capsys, command, data, message):
+    # a name or basis entry that was not a string was echoed into the report
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    what = "representation" if command == "decompose" else "algebra"
+    assert run(capsys, command, str(path)) == (1, "", f"error: malformed {what} file {path}: {message}\n")
+
+
+def run_with_closed_stdout(argv, unbuffered):
+    """(exit code, stderr) of a fresh process whose stdout is a pipe with no reader."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     if unbuffered:
@@ -351,12 +386,26 @@ def test_closed_stdout_exits_1_without_a_traceback(heis_files, unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "nilbound.cli", "decompose", str(heis_files[1])],
+            [sys.executable, "-m", "nilbound.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(heis_files, unbuffered):
+    # unbuffered, the print itself fails; buffered, the data waits for a flush
+    assert run_with_closed_stdout(["decompose", str(heis_files[1])], unbuffered) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["help", "command-help"])
+def test_help_with_closed_stdout_exits_1_without_a_traceback(argv):
+    # buffered, argparse exits with the help text still waiting for a flush
+    assert run_with_closed_stdout(argv, unbuffered=False) == (1, b"")
+    # unbuffered, argparse swallows the failed write itself and exits 0
+    assert run_with_closed_stdout(argv, unbuffered=True) == (0, b"")
 
 
 @pytest.mark.parametrize(
@@ -648,6 +697,43 @@ class TestVerifyPaper:
             assert run(capsys, "verify-paper")[0] == 2
         assert solve_heisenberg() == (0, 3, [1, 1, 1])
         assert run(capsys, "verify-paper")[0] == 0
+
+
+def test_a_reused_parser_leaks_nothing_between_calls(tmp_path, capsys, monkeypatch, heis_files):
+    algebra, representation = map(str, heis_files)
+    valid = [
+        ["solve", "--p", "2", "--p0", "2", "--dims", "3,1"],
+        ["bound", algebra],
+        ["analyze", algebra],
+        ["decompose", representation, "--seed", "0"],
+        ["family", "nap", "--a", "1", "--p", "2", "-o", str(tmp_path / "family")],
+    ]
+    exits = [(["solve"], 2), (["--help"], 0), (["solve", "--p", "x"], 2)]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    got = {}
+    for i, argv in enumerate(valid + valid[::-1]):
+        got.setdefault(tuple(argv), []).append(run(capsys, *argv))
+        if i == 0:
+            built.clear()  # the first call may build the parser; no later call builds one
+        exit_argv, exit_code = exits[i % len(exits)]
+        with pytest.raises(SystemExit) as exc:
+            main(exit_argv)
+        capsys.readouterr()
+        assert exc.value.code == exit_code
+    assert built == []
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv in valid:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "nilbound.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert got[tuple(argv)] == [(fresh.returncode, fresh.stdout, fresh.stderr)] * 2
 
 
 # Every settable value of the command line: positionals by name, options by

@@ -61,5 +61,5 @@ def test_bench_pair_runs_at_its_smallest_size(tmp_path):
     assert all(record[side]["src.lines"] > 0 for side in ("base", "head"))
     m = record["workloads"]["solve"]["metrics"]["cases_per_s"]
     assert m["head_wins"] in (0, 1) and m["base"]["q1"] == m["base"]["median"] == m["base"]["q3"] > 0
-    # the temporary worktree of the compared revision is gone again
+    # the compared revision is exported, so the script leaves no worktree behind
     assert subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True, text=True).stdout == worktrees
