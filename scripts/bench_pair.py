@@ -58,11 +58,21 @@ def export_revision(rev: str, dest: Path) -> None:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """"3", "1,4,9" or "101-110" (inclusive)."""
+    """"3", "1,4,9" or "101-110" (inclusive); a range that is empty or reversed, or a seed
+    given twice, is refused, since each seed must make exactly one pair."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, dash, hi = part.partition("-")
+        try:
+            first = int(lo)
+            last = int(hi) if dash else first
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} in {text!r} is not a seed or a range of seeds") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"the range {part!r} in {text!r} is reversed")
+        seeds.extend(range(first, last + 1))
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"{text!r} names a seed twice")
     return seeds
 
 

@@ -8,9 +8,12 @@ with suffix sums r_k = a_k + ... + a_p.
 
 The closed-form square-root bounds are evaluated in floating point for
 display; their ceilings and comparisons are computed exactly from the
-radicands. Exact arithmetic does not make a formula a lower bound, though:
-`first_bound` and `second_bound` never exceed the real relaxation minimum
-and so certify r0_min, and the search starts from `first_bound` only. The
+radicands. A ceiling is taken in integers: for sqrt(q) it is
+`math.isqrt(ceil(q) - 1) + 1`, and for the two-term case2 form an exact
+integer test is walked from a start the float value picks. Exact arithmetic
+does not make a formula a lower bound, though: `first_bound` and
+`second_bound` never exceed the real relaxation minimum and so certify
+r0_min, and the search starts from `first_bound` only. The
 paper's two-term formula (`paper_second_bound`, printed in the reports as
 `closed_second`) can exceed r0_min when the n_{p0} constraint is slack.
 
@@ -102,7 +105,7 @@ class RootBound:
         return math.sqrt(self.q) - float(self.d) * math.sqrt(self.m)
 
     def leq_int(self, s: int) -> bool:
-        """Exact test value <= s (for s >= 0)."""
+        """Exact test value <= s (for s >= 0), in Fractions; `exact_ceil` runs it on integers."""
         if s < 0:
             return False
         # sqrt(q) <= s + d*sqrt(m)  <=>  t := q - s^2 - d^2 m <= 2 s d sqrt(m)
@@ -112,9 +115,27 @@ class RootBound:
         return t * t <= 4 * s * s * self.d * self.d * self.m
 
     def exact_ceil(self) -> int:
+        """The least integer s >= 0 with value <= s, in integer arithmetic."""
+        if not self.d:
+            # s >= sqrt(q) <=> s^2 >= ceil(q) =: N for integer s
+            n = -(-self.q.numerator // self.q.denominator)
+            return math.isqrt(n - 1) + 1 if n > 0 else 0
+        # leq_int on integers: with a = L q, b = L d^2 m for a common denominator L,
+        # value <= s <=> u := a - b - L s^2 <= 0 or u^2 <= 4 L b s^2
+        b = self.d * self.d * self.m
+        den = math.lcm(self.q.denominator, b.denominator)
+        a, b = self.q.numerator * (den // self.q.denominator), b.numerator * (den // b.denominator)
+
+        def leq(s: int) -> bool:
+            u = a - b - den * s * s
+            return u <= 0 or u * u <= 4 * den * b * s * s
+
+        # the float value only picks the start; the walk settles the ceiling exactly either way
         s = max(0, math.floor(self.value) - 2)
-        while not self.leq_int(s):
+        while not leq(s):
             s += 1
+        while s and leq(s - 1):
+            s -= 1
         return s
 
     def geq_sqrt(self, q1: Fraction) -> bool:

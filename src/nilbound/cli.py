@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -44,6 +45,17 @@ from nilbound.liealg import (
 
 class InputError(Exception):
     pass
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The one reader of command-line integers: ASCII [+-]?[0-9]+ only, where int() would
+    also take "1_0", " 16 " and non-ASCII digits. argparse prints the error as a usage error."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def _emit(obj) -> None:
@@ -107,8 +119,8 @@ def cmd_family(args) -> int:
 
 def cmd_solve(args) -> int:
     try:
-        dims = tuple(int(x) for x in args.dims.split(","))
-    except ValueError as exc:
+        dims = tuple(_integer(x) for x in args.dims.split(","))
+    except argparse.ArgumentTypeError as exc:
         raise InputError(f"malformed --dims: {exc}") from exc
     try:
         prob = BoundProblem(args.p, args.p0, dims)
@@ -216,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     fam = sub.add_parser("family", help="emit algebra/representation files for a built-in family")
     fam.add_argument("tag", choices=["nap", "nabc", "heisenberg", "abelian"])
     for flag in ("a", "b", "c", "p", "m", "n"):
-        fam.add_argument(f"--{flag}", type=int)
+        fam.add_argument(f"--{flag}", type=_integer)
     fam.add_argument("-o", "--output", help="output directory (default: cwd)")
     fam.set_defaults(func=cmd_family)
 
     sol = sub.add_parser("solve", help="solve a bound problem given chain dimensions")
-    sol.add_argument("--p", type=int, required=True)
-    sol.add_argument("--p0", type=int, required=True)
+    sol.add_argument("--p", type=_integer, required=True)
+    sol.add_argument("--p0", type=_integer, required=True)
     sol.add_argument("--dims", required=True, help="comma-separated weakly decreasing dims")
     sol.set_defaults(func=cmd_solve)
 
@@ -237,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="decompose and verify a representation file")
     dec.add_argument("representation")
-    dec.add_argument("--seed", type=int, default=0)
+    dec.add_argument("--seed", type=_integer, default=0)
     dec.set_defaults(func=cmd_decompose)
 
     ver = sub.add_parser("verify-paper", help="run the reproduction grid")

@@ -1,11 +1,15 @@
 """Lie algebras from structure constants: series, center, filtrations, representations.
 
-Structure constants are stored sparsely for i < j only; antisymmetry is
-implicit. Each algebra derives from them, once, a sparse adjoint table
-(`LieAlgebra.ad`) of the integers D * c_ij^k, D the lcm of the constants'
-denominators (`LieAlgebra.denominator`), and keeps its lower central series
-and center once computed. Brackets, the Jacobi check, the series and the
-center run on that table; the public `bracket` divides by D. A
+Structure constants are stored sparsely for i < j only, sorted by pair;
+antisymmetry is implicit. Each algebra derives from them, once, a sparse
+adjoint table (`LieAlgebra.ad`) of the integers D * c_ij^k, D the lcm of the
+constants' denominators (`LieAlgebra.denominator`), and from its rows the
+derived algebra W = D * [n, n] (`LieAlgebra._derived`), and keeps its lower
+central series and center once computed. Brackets, the Jacobi check, the
+series and the center run on that table; the public `bracket` divides by D.
+W is the series' second term, and since every product of basis elements lies
+in W, and an element of W is zero exactly when its entries at W's pivot
+columns are, the center and the Jacobi check read those entries only. A
 representation is its matrices as flattened integer rows over one common
 denominator (`Representation.ops`); its `Fraction` matrices are a view. The
 file formats are parsed here, every row by one reader (`_rows`), and the
@@ -65,7 +69,7 @@ class LieAlgebra:
     name: str
     dim: int
     basis_names: tuple[str, ...]
-    brackets: "frozenset[tuple[tuple[int, int], Terms]]"
+    brackets: tuple[tuple[tuple[int, int], Terms], ...]  # sorted by pair
 
     @staticmethod
     def create(name: str, dim: int, brackets: Mapping, basis_names: Sequence[str] | None = None) -> "LieAlgebra":
@@ -88,7 +92,7 @@ class LieAlgebra:
             terms = tuple((k, c) for k, c in terms if c != 0)
             if terms:
                 clean[(i, j)] = terms
-        return LieAlgebra(name, dim, tuple(basis_names), frozenset(clean.items()))
+        return LieAlgebra(name, dim, tuple(basis_names), tuple(sorted(clean.items())))
 
     @cached_property
     def denominator(self) -> int:
@@ -107,24 +111,46 @@ class LieAlgebra:
         return tuple(ad)
 
     @cached_property
+    def _derived(self) -> Subspace:
+        """W = D * [n, n], the span of the table rows D * [x_i, x_j] for i < j."""
+        rows = {}
+        for i, row in enumerate(self.ad):
+            for j, terms in row.items():
+                if i < j:
+                    w = [0] * self.dim
+                    for k, c in terms:
+                        w[k] = c
+                    rows[tuple(w)] = None  # a repeated row changes no span
+        return span(rows, self.dim)
+
+    @cached_property
+    def _ad_on_pivots(self) -> tuple[dict[int, IntTerms], ...]:
+        """ad with only the terms at W's pivot columns; ad itself when that drops none,
+        which is when every canonical row of W is a unit row."""
+        if all(r.count(0) == self.dim - 1 for r in self._derived.rows):
+            return self.ad
+        keep = set(self._derived.pivots)
+        return tuple({j: tuple((k, c) for k, c in terms if k in keep) for j, terms in row.items()} for row in self.ad)
+
+    @cached_property
     def _series(self) -> tuple[tuple[Subspace, ...], bool]:
         """The lower central series and whether it ends in zero (see lower_central_series)."""
         full = Subspace.full(self.dim)
         # [n, C^k] is spanned by brackets with the basis elements that have any bracket
         acting = span([e for e, row in zip(full.rows, self.ad) if row], self.dim)
-        series = [full]
-        while True:
-            nxt = bracket_subspaces(self, acting, series[-1])
-            if nxt.dim == 0 or nxt == series[-1]:
-                return tuple(series), nxt.dim == 0
+        series, nxt = [full], self._derived
+        while nxt.dim and nxt != series[-1]:
             series.append(nxt)
+            nxt = bracket_subspaces(self, acting, nxt)
+        return tuple(series), nxt.dim == 0
 
     @cached_property
     def _center(self) -> Subspace:
-        """See center. Row (j, k), the k-th coordinate of D * [x, e_j] as a
-        linear form in x, is built only where the adjoint table makes it nonzero."""
+        """See center. Row (j, k), the k-th coordinate of D * [x, e_j] as a linear
+        form in x, is built only where the adjoint table makes it nonzero and only
+        for k a pivot column of W."""
         rows: dict[tuple[int, int], list[int]] = {}
-        for i, row in enumerate(self.ad):
+        for i, row in enumerate(self._ad_on_pivots):
             for j, terms in row.items():
                 for k, c in terms:
                     rows.setdefault((j, k), [0] * self.dim)[i] += c
@@ -161,16 +187,18 @@ def validate(alg: LieAlgebra) -> list[str]:
     A basis element with no brackets is central, and every triple holding
     one satisfies the identity, so only triples of the others are summed.
     The sums are taken on the integer table: each is D^2 times the rational
-    one, so it is zero exactly when that one is.
+    one, so it is zero exactly when that one is. Each [x_a, [x_b, x_c]] is a
+    combination of table rows, Lie algebra or not, so each sum lies in W and
+    is summed at W's pivot columns only.
     """
     violations = []
-    ad = alg.ad
+    ad, outer_ad = alg.ad, alg._ad_on_pivots
     for i, j, k in combinations([i for i, row in enumerate(ad) if row], 3):
         total: dict[int, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             # [x_a, [x_b, x_c]] composed from the sparse terms
             for l, inner in ad[b].get(c, ()):
-                for m, outer in ad[a].get(l, ()):
+                for m, outer in outer_ad[a].get(l, ()):
                     total[m] = total.get(m, 0) + inner * outer
         if any(x != 0 for x in total.values()):
             violations.append(f"Jacobi fails at triple ({i + 1}, {j + 1}, {k + 1})")
@@ -344,7 +372,7 @@ def algebra_from_matrix_basis(name: str, mats: Sequence[Sequence[Sequence]]) -> 
 
 def algebra_to_json(alg: LieAlgebra) -> dict:
     entries = []
-    for (i, j), terms in sorted(alg.brackets):
+    for (i, j), terms in alg.brackets:
         entries.append({"i": i + 1, "j": j + 1, "terms": [[k + 1, rat_str(c)] for k, c in terms]})
     return {"name": alg.name, "dim": alg.dim, "basis": list(alg.basis_names), "brackets": entries}
 

@@ -275,3 +275,43 @@ def test_first_bound_sound_and_exactly_ceilinged(seed):
     # certify the ceiling: value <= c but value > c - 1
     assert fb.leq_int(c)
     assert not fb.leq_int(c - 1)
+
+
+def assert_certified_ceiling(b) -> None:
+    """exact_ceil is the least c >= 0 with value <= c, by the Fraction test leq_int."""
+    c = b.exact_ceil()
+    assert b.leq_int(c)
+    assert c == 0 or not b.leq_int(c - 1)
+
+
+@pytest.mark.parametrize(
+    "bound, case, ceil",
+    [
+        (first_bound(2, 3), "first", 3),  # sqrt(9), exact
+        (first_bound(3, 800), "first", 47),
+        (first_bound(6, 10 ** 6), "first", 1528),
+        (paper_second_bound(2, 5, 1), "case1", 4),  # sqrt(16), exact
+        (paper_second_bound(6, 10 ** 6, 7), "case1", 1550),
+        (paper_second_bound(2, 9, 4), "p0_equals_2", 6),
+        (paper_second_bound(2, 10 ** 6, 250000), "p0_equals_2", 1750),  # 1.75 * 10^6 / (2 * 500), exact
+        (paper_second_bound(3, 6, 1), "case2", 4),  # sqrt(36) - 2, exact
+        (paper_second_bound(3, 10, 2), "case2", 6),
+        (paper_second_bound(6, 10 ** 6, 10 ** 6), "case2", 2000),  # sqrt(6.25 * 10^6) - sqrt(10^6) / 2, exact
+        (second_bound(2, 16, 2), "slack", 7),
+        (second_bound(5, 10 ** 6, 100), "slack", 1550),
+    ],
+)
+def test_closed_form_ceiling_at_each_case(bound, case, ceil):
+    assert (bound.case, bound.exact_ceil()) == (case, ceil)
+    assert_certified_ceiling(bound)
+
+
+@given(st.integers(1, 6), st.integers(1, 10 ** 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_ceilings_are_certified(p0, n1, data):
+    """Every closed form's integer ceiling against the exact Fraction test, for n1 up to 10^6."""
+    assert_certified_ceiling(first_bound(p0, n1))
+    if p0 >= 2:
+        np0 = data.draw(st.one_of(st.integers(1, n1), st.integers(1, max(1, n1 // (2 * p0 * p0)))))
+        assert_certified_ceiling(paper_second_bound(p0, n1, np0))
+        assert_certified_ceiling(second_bound(p0, n1, np0))

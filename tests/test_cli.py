@@ -87,6 +87,38 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--p", "2", "--p0", "2", "--dims", "1,3")
         assert code == 1
 
+    @pytest.mark.parametrize("dims, entry", [("1_6,2", "1_6"), (" 16 , 2", " 16 "), ("\u0661\u0666,2", "\u0661\u0666"),
+                                             ("a,2", "a"), ("16,,2", ""), ("16.0,2", "16.0")])
+    def test_dims_entries_are_ascii_integers(self, capsys, dims, entry):
+        # int() alone would read "1_6", " 16 " and Arabic-Indic digits as 16
+        assert run(capsys, "solve", "--p", "2", "--p0", "2", "--dims", dims) == (
+            1, "", f"error: malformed --dims: {entry!r} is not an integer\n")
+
+    def test_signed_ascii_integers_are_read(self, capsys):
+        code, out, _ = run(capsys, "solve", "--p", "+2", "--p0", "2", "--dims", "+16,2")
+        assert code == 0 and json.loads(out)["dims"] == [16, 2]
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["solve", "--p", "1_0", "--p0", "2", "--dims", "3,1"], "1_0"),
+        (["solve", "--p", "2", "--p0", " 2", "--dims", "3,1"], " 2"),
+        (["solve", "--p", "\u0662", "--p0", "2", "--dims", "3,1"], "\u0662"),
+        (["decompose", "rep.json", "--seed", "1_0"], "1_0"),
+        (["family", "nap", "--a", "1", "--p", "2.0"], "2.0"),
+        (["family", "heisenberg", "--m", "\uff11"], "\uff11"),
+    ],
+    ids=["underscore", "space", "arabic-indic", "seed", "float", "fullwidth"],
+)
+def test_option_integers_are_ascii(capsys, argv, bad):
+    """A non-ASCII or non-plain integer option value is argparse's usage error, exit 2, as "--p x" is."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: nilbound ") and err.endswith(f": {bad!r} is not an integer\n")
+
 
 # [x, y] = y: solvable, not nilpotent
 SOLVABLE_ALGEBRA = {

@@ -25,6 +25,7 @@ from nilbound.liealg import (
     algebra_from_json,
     algebra_to_json,
     bracket,
+    bracket_subspaces,
     center,
     default_filtration,
     is_faithful,
@@ -457,3 +458,94 @@ def test_validate_representation_matches_the_fraction_reference(data):
     rep = representation_of(rep.algebra, rep.dimV, mats)
     assume(rep.ops[1] > 1)
     assert validate_representation(rep) == fraction_representation_violations(rep)
+
+
+# The Lie layer before it was restricted to W = D * [n, n]: every coordinate of
+# each Jacobi sum, every center row, and C^2 formed from the dim^2 products.
+
+def full_coordinate_violations(alg: LieAlgebra) -> list[str]:
+    violations = []
+    ad = alg.ad
+    for i, j, k in combinations([i for i, row in enumerate(ad) if row], 3):
+        total: dict[int, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, inner in ad[b].get(c, ()):
+                for m, outer in ad[a].get(l, ()):
+                    total[m] = total.get(m, 0) + inner * outer
+        if any(x != 0 for x in total.values()):
+            violations.append(f"Jacobi fails at triple ({i + 1}, {j + 1}, {k + 1})")
+    return violations
+
+
+def full_coordinate_center(alg: LieAlgebra) -> Subspace:
+    rows: dict[tuple[int, int], list] = {}
+    for i, row in enumerate(alg.ad):
+        for j, terms in row.items():
+            for k, c in terms:
+                rows.setdefault((j, k), [0] * alg.dim)[i] += c
+    return kernel_basis(frac_matrix([rows[key] for key in sorted(rows)] or [[0] * alg.dim]))
+
+
+def full_coordinate_series(alg: LieAlgebra) -> tuple[list[Subspace], bool]:
+    full = Subspace.full(alg.dim)
+    acting = span([e for e, row in zip(full.rows, alg.ad) if row], alg.dim)
+    series = [full]
+    while True:
+        nxt = bracket_subspaces(alg, acting, series[-1])
+        if nxt.dim == 0 or nxt == series[-1]:
+            return series, nxt.dim == 0
+        series.append(nxt)
+
+
+def assert_matches_full_coordinates(alg: LieAlgebra) -> None:
+    full = Subspace.full(alg.dim)
+    w = bracket_subspaces(alg, full, full)
+    assert alg._derived == w
+    # the terms kept are exactly those at W's pivot columns
+    keep = set(w.pivots)
+    assert alg._ad_on_pivots == tuple(
+        {j: tuple((k, c) for k, c in terms if k in keep) for j, terms in row.items()} for row in alg.ad
+    )
+    assert validate(alg) == full_coordinate_violations(alg)
+    assert center(alg) == full_coordinate_center(alg)
+    assert (lower_central_series(alg), is_nilpotent(alg)) == full_coordinate_series(alg)
+
+
+DENSE = dense_rational_algebra(0)[0]  # W has rows that are not unit rows, so terms are dropped
+
+
+def broken_dense_algebra() -> LieAlgebra:
+    brackets = dict(DENSE.brackets)
+    brackets[(0, 1)] = tuple((dict(brackets.get((0, 1), ())) | {0: Fraction(1, 3)}).items())
+    alg = LieAlgebra.create("broken-dense", DENSE.dim, brackets)
+    assert validate(alg)
+    return alg
+
+
+SL2 = algebra_from_matrix_basis("sl2", [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]]])[0]
+
+
+@pytest.mark.parametrize(
+    "alg, w_dim",
+    [
+        (make_abelian(4)[0], 0),
+        (LieAlgebra.create("line", 1, {}), 0),
+        (SL2, 3),
+        (make_nap(1, 3)[0], 3),
+        (broken_jacobi_algebra(), 2),
+        (DENSE, 8),
+        (broken_dense_algebra(), 8),
+    ],
+    ids=["abelian", "dim-1", "sl2", "nap13", "broken", "dense", "broken-dense"],
+)
+def test_lie_layer_on_w_matches_full_coordinates_on_fixed_algebras(alg, w_dim):
+    assert alg._derived.dim == w_dim
+    assert_matches_full_coordinates(alg)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_lie_layer_on_w_matches_full_coordinates(data):
+    """On the rebased tables of draw_rebased, some of them broken, W's pivot columns decide
+    what the full coordinates do: violations in order, center and series."""
+    assert_matches_full_coordinates(draw_rebased(data).algebra)

@@ -1,5 +1,6 @@
 """The scripts under scripts/ use the public API, which no other test runs them against."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -37,10 +38,15 @@ def test_script_runs(args):
             assert line in result.stdout.splitlines()
 
 
-def test_closed_bound_check_fails_on_a_violation(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("closed_bound_check", ROOT / "scripts" / "closed_bound_check.py")
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_closed_bound_check_fails_on_a_violation(monkeypatch, capsys):
+    script = load_script("closed_bound_check")
     real = script.second_bound
     # the bound for a much larger n1 exceeds r0_min
     monkeypatch.setattr(script, "second_bound", lambda p0, n1, np0: real(p0, n1 + 1000, np0))
@@ -63,3 +69,15 @@ def test_bench_pair_runs_at_its_smallest_size(tmp_path):
     assert m["head_wins"] in (0, 1) and m["base"]["q1"] == m["base"]["median"] == m["base"]["q3"] > 0
     # the compared revision is exported, so the script leaves no worktree behind
     assert subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True, text=True).stdout == worktrees
+
+
+def test_bench_pair_seeds_make_one_pair_each():
+    parse_seeds = load_script("bench_pair").parse_seeds
+    assert parse_seeds("3") == [3]
+    assert parse_seeds("1,4,9") == [1, 4, 9]
+    assert parse_seeds("101-103,7") == [101, 102, 103, 7]
+    assert parse_seeds("5-5") == [5]
+    # an empty or reversed range would run no pair, a repeated seed the same pair twice
+    for text in ("", "5-3", "1,1", "1-3,2", "1,,2", "3-", "a", "1-b"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_seeds(text)
