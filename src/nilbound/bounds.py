@@ -120,11 +120,11 @@ class RootBound:
             # s >= sqrt(q) <=> s^2 >= ceil(q) =: N for integer s
             n = -(-self.q.numerator // self.q.denominator)
             return math.isqrt(n - 1) + 1 if n > 0 else 0
-        # leq_int on integers: with a = L q, b = L d^2 m for a common denominator L,
-        # value <= s <=> u := a - b - L s^2 <= 0 or u^2 <= 4 L b s^2
-        b = self.d * self.d * self.m
-        den = math.lcm(self.q.denominator, b.denominator)
-        a, b = self.q.numerator * (den // self.q.denominator), b.numerator * (den // b.denominator)
+        # leq_int on integers: with a = den * q and b = den * d^2 m for a common denominator den,
+        # value <= s <=> u := a - b - den * s^2 <= 0 or u^2 <= 4 den b s^2
+        dm = self.d * self.d * self.m
+        den = math.lcm(self.q.denominator, dm.denominator)
+        a, b = self.q.numerator * (den // self.q.denominator), dm.numerator * (den // dm.denominator)
 
         def leq(s: int) -> bool:
             u = a - b - den * s * s
