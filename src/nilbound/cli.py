@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from nilbound.decomposition import (
     verify_decomposition,
 )
 from nilbound.families import make_family
+from nilbound.linalg import _INTEGER
 from nilbound.liealg import (
     admissible_p0_set,
     algebra_from_json,
@@ -45,9 +45,6 @@ from nilbound.liealg import (
 
 class InputError(Exception):
     pass
-
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _integer(text: str) -> int:

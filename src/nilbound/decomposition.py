@@ -83,6 +83,16 @@ def chain_from_representation(rep: Representation, filt: Filtration) -> Operator
     return OperatorChain(rep.dimV, levels)
 
 
+def _column_span(ops: Sequence[Sequence[int]], n: int) -> Subspace:
+    """T . V for T the span of the operators: the span of their columns."""
+    return span([op[c::n] for op in ops for c in range(n)], n)
+
+
+def _rank_ceiling(chain: OperatorChain) -> tuple[int, ...]:
+    """min(dim T_k, dim T_k . V) per level: T_k . v lies in T_k . V and is spanned by dim T_k images, so no v exceeds it."""
+    return tuple(min(lvl.dim, _column_span(lvl.rows, chain.space_dim).dim) for lvl in chain.levels)
+
+
 def _image_dims(levels: Sequence[Subspace], n: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """dim(T_k . v) for each level."""
     return tuple(span(_images(lvl.rows, n, v), n).dim for lvl in levels)
@@ -96,17 +106,28 @@ def find_rank_vector(chain: OperatorChain, rng: random.Random) -> tuple[tuple[in
     componentwise maximal in the batch and two further samples do not beat
     it. Genericity makes failure vanishingly unlikely; the certificate comes
     from verify_decomposition, not from this sampler.
+
+    No tuple exceeds the ceiling c = `_rank_ceiling(chain)`. The batch is
+    scored in order up to the first candidate that reaches c, which is then
+    the batch maximum and its first witness; a winner at c skips scoring the
+    extras, which are still drawn. The result and the random stream are
+    those of scoring everything.
     """
     n = chain.space_dim
+    ceiling = _rank_ceiling(chain)
     bound = 16
     for _ in range(64):
         batch = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(8)]
-        tuples = [_image_dims(chain.levels, n, v) for v in batch]
+        tuples = []
+        for v in batch:
+            tuples.append(_image_dims(chain.levels, n, v))
+            if tuples[-1] == ceiling:
+                break
         best = tuple(max(t[k] for t in tuples) for k in range(chain.p))
         winner = next((v for v, t in zip(batch, tuples) if t == best), None)
         if winner is not None:
             extras = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(2)]
-            if all(
+            if best == ceiling or all(
                 all(d <= b for d, b in zip(_image_dims(chain.levels, n, e), best))
                 for e in extras
             ):
@@ -237,7 +258,7 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
                 report.failures.append(f"dim T_({k},{j}).v_{j} != dim T_({k},{j})")
             if j == 1:
                 continue
-            whole = span([op[c::n] for op in ops for c in range(n)], n)  # T_(k,j).V, from the columns
+            whole = _column_span(ops, n)  # T_(k,j).V
             for i in range(1, j):
                 vi = dec.vectors[i - 1]
                 if any(map(any, _images(ops, n, vi))):

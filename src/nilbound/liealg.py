@@ -31,6 +31,7 @@ from nilbound.linalg import (
     Q,
     Subspace,
     Vector,
+    _INTEGER,
     _clear_denominators,
     _commutator,
     _fraction_row,
@@ -403,9 +404,18 @@ def _require_str(x, what: str) -> str:
     return x
 
 
-def _rows(data, what: str) -> list[list[Fraction]]:
-    """A JSON list of rows, each a JSON list of numbers read with one rat: the one reader of a file's rows."""
-    return [[rat(x) for x in _require_list(row, f"a row of {what}")] for row in _require_list(data, what)]
+def _number(x) -> int | Fraction:
+    """A JSON integer or an ASCII integer string as an int, anything else through rat, which raises every error."""
+    if type(x) is int:
+        return x
+    if type(x) is str and _INTEGER.fullmatch(x):
+        return int(x)
+    return rat(x)
+
+
+def _rows(data, what: str) -> list[list[int | Fraction]]:
+    """A JSON list of rows, each a JSON list of numbers read with `_number`: the one reader of a file's rows."""
+    return [[_number(x) for x in _require_list(row, f"a row of {what}")] for row in _require_list(data, what)]
 
 
 def algebra_from_json(data: dict) -> LieAlgebra:

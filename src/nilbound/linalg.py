@@ -29,6 +29,8 @@ _ZERO = Q(0)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII only, where int() also takes "1_0", " 1" and non-ASCII digits
+
 
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and ASCII "num" or "num/den" strings to an exact rational; a bool is not a number."""

@@ -1,9 +1,10 @@
 """Shared test helpers.
 
-Generators: random strictly upper triangular matrix subalgebras and a dense
-conjugate of their representation. Oracles: plain nested-loop `Fraction`
-combination, product and commutator of matrices, which share no code with
-the integer cores in `nilbound.linalg` they are used to check.
+Generators: random strictly upper triangular matrix subalgebras, closed under
+a plain-loop integer commutator, and a dense conjugate of their
+representation. Oracles: plain nested-loop `Fraction` combination, product
+and commutator of matrices, which share no code with the integer cores in
+`nilbound.linalg` they are used to check.
 """
 
 import math
@@ -57,26 +58,31 @@ def frac_commutator(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab.entries, ba.entries)))
 
 
-def _random_strict_upper(rng: random.Random, n: int) -> Matrix:
-    rows = [
-        [Q(rng.randint(-2, 2)) if j > i else Q(0) for j in range(n)]
-        for i in range(n)
-    ]
-    return frac_matrix(rows)
+def _random_strict_upper(rng: random.Random, n: int) -> list[list[int]]:
+    return [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
 
 
-def _bracket_closure(gens: list[Matrix], n: int, max_dim: int) -> list[Matrix] | None:
-    """Close the span of gens under the commutator; None if it grows past max_dim."""
-    mats: list[Matrix] = []
+def _int_commutator(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """ab - ba for square matrices of ints, by plain loops."""
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _bracket_closure(gens: list[list[list[int]]], n: int, max_dim: int) -> list[list[list[int]]] | None:
+    """Close the span of the integer matrices gens under the commutator; None if it grows past max_dim."""
+    mats: list[list[list[int]]] = []
+    flats: list[list[int]] = []
     sp = Subspace.zero(n * n)
     frontier = list(gens)
     while frontier:
         m = frontier.pop()
-        if not any(map(any, m.entries)) or sp.contains_vector(integer_rows([[x for r in m.entries for x in r]])[0]):
+        flat = [x for r in m for x in r]
+        if not any(flat) or sp.contains_vector(flat):
             continue
-        frontier.extend(frac_commutator(m, other) for other in mats)
+        frontier.extend(_int_commutator(m, other) for other in mats)
         mats.append(m)
-        sp = span(integer_rows([y for r in x.entries for y in r] for x in mats), n * n)
+        flats.append(flat)
+        sp = span(flats, n * n)
         if len(mats) > max_dim:
             return None
     return mats
@@ -96,7 +102,7 @@ def random_upper_triangular_subalgebra(
         gens = [_random_strict_upper(rng, dim_v) for _ in range(rng.randint(2, 3))]
         mats = _bracket_closure(gens, dim_v, max_dim)
         if mats:
-            return algebra_from_matrix_basis(f"rand_{seed}", [m.entries for m in mats])
+            return algebra_from_matrix_basis(f"rand_{seed}", mats)
 
 
 def conjugated_dense_representation(seed: int) -> Representation:

@@ -538,7 +538,8 @@ def malformed_representations(draw):
                 continue
             path = ("matrices",)
             value = mats[:-1] if draw(st.booleans()) else mats + [mats[-1]]
-        _get(doc, path[:-1])[path[-1]] = value
+        # a copy, so no malformation can reach the shared OTHER_TYPES values or make the document contain itself
+        _get(doc, path[:-1])[path[-1]] = copy.deepcopy(value)
     return doc
 
 

@@ -3,12 +3,16 @@ import random
 
 import pytest
 
-from conftest import conjugated_dense_representation, frac_matrix, frac_product
+from conftest import conjugated_dense_representation, frac_matrix, frac_product, random_upper_triangular_subalgebra
+from nilbound import decomposition
 from nilbound.decomposition import (
     AdaptedBasis,
     FaithfulnessError,
     OperatorChain,
+    SamplingBudgetExhausted,
     _conjugation,
+    _image_dims,
+    _rank_ceiling,
     build_adapted_basis,
     chain_from_representation,
     decompose,
@@ -55,6 +59,80 @@ class TestRankVector:
         chain = OperatorChain(2, (Subspace.zero(4),))
         _, dims = find_rank_vector(chain, random.Random(0))
         assert dims == (0,)
+
+
+def full_batch_rank_vector(chain: OperatorChain, rng: random.Random):
+    """The sampler without the ceiling: every candidate of a batch, and both extras, are scored."""
+    n = chain.space_dim
+    bound = 16
+    for _ in range(64):
+        batch = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(8)]
+        tuples = [_image_dims(chain.levels, n, v) for v in batch]
+        best = tuple(max(t[k] for t in tuples) for k in range(chain.p))
+        winner = next((v for v, t in zip(batch, tuples) if t == best), None)
+        if winner is not None:
+            extras = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(2)]
+            if all(all(d <= b for d, b in zip(_image_dims(chain.levels, n, e), best)) for e in extras):
+                return winner, best
+        bound *= 2
+    raise SamplingBudgetExhausted("no rank-vector found within the sampling budget")
+
+
+CEILING_REPS = {
+    "heisenberg(1)": make_heisenberg(1)[1],
+    "heisenberg(3)": make_heisenberg(3)[1],
+    "nap(2,2)": make_nap(2, 2)[1],
+    "nap(1,3)": make_nap(1, 3)[1],
+    "nabc(1,2,2)": make_nabc(1, 2, 2)[1],
+    **{f"dense_{seed}": conjugated_dense_representation(seed) for seed in range(4)},
+    **{f"rand_{seed}": random_upper_triangular_subalgebra(seed)[1] for seed in (6, 10, 38)},
+}
+CEILING_MISSED = {"rand_6", "rand_10", "rand_38"}  # one round of each has its generic maximum below the ceiling
+
+
+def sampler_rounds(rep, seed: int, monkeypatch) -> list:
+    """(chain, random state) for every find_rank_vector call of decompose(rep, seed)."""
+    rounds = []
+
+    def record(chain, rng):
+        rounds.append((chain, rng.getstate()))
+        return find_rank_vector(chain, rng)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decomposition, "find_rank_vector", record)
+        decompose(rep, seed=seed)
+    return rounds
+
+
+def at_state(state) -> random.Random:
+    rng = random.Random()
+    rng.setstate(state)
+    return rng
+
+
+class TestRankCeiling:
+    @pytest.mark.parametrize("name", CEILING_REPS)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_same_vector_and_random_stream_as_scoring_everything(self, name, seed, monkeypatch):
+        missed = 0
+        for chain, state in sampler_rounds(CEILING_REPS[name], seed, monkeypatch):
+            fast, full = at_state(state), at_state(state)
+            result = find_rank_vector(chain, fast)
+            assert result == full_batch_rank_vector(chain, full)
+            assert fast.getstate() == full.getstate()
+            missed += result[1] != _rank_ceiling(chain)
+        # the rounds below the ceiling run the full path; elsewhere the ceiling is reached
+        assert bool(missed) == (name in CEILING_MISSED)
+
+    @pytest.mark.parametrize("name", CEILING_REPS)
+    def test_no_vector_exceeds_the_ceiling(self, name, monkeypatch):
+        rng = random.Random(name)
+        for chain, _ in sampler_rounds(CEILING_REPS[name], 0, monkeypatch):
+            n, ceiling = chain.space_dim, _rank_ceiling(chain)
+            units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            drawn = [tuple(rng.randint(-m, m) for _ in range(n)) for m in (1, 3, 1000) for _ in range(10)]
+            for v in units + drawn:
+                assert all(d <= c for d, c in zip(_image_dims(chain.levels, n, v), ceiling))
 
 
 class TestDecompose:

@@ -325,6 +325,18 @@ class TestJsonRoundTrip:
         again = representation_from_json(representation_to_json(rep))
         assert again == rep
 
+    def test_integer_entries_read_as_fractions_would_be(self):
+        # integer entries are kept as ints; as "k/1" strings they go through rat, and the representation is the same
+        doc = representation_to_json(conjugated_dense_representation(0))
+        spelled = {"+3": "3/1", "-0": "0/1", "007": "7/1"}
+        as_ints = [[[int(x) if "/" not in x else x for x in row] for row in m] for m in doc["matrices"]]
+        as_ints[0][0][:3] = list(spelled)
+        as_fractions = [[[x if "/" in x else f"{x}/1" for x in row] for row in m] for m in doc["matrices"]]
+        as_fractions[0][0][:3] = list(spelled.values())
+        reads = [representation_from_json({**doc, "matrices": mats}) for mats in (as_ints, as_fractions)]
+        assert reads[0] == reads[1]
+        assert reads[0].ops[1] > 1
+
     def test_fractional_coefficients_survive(self):
         alg = LieAlgebra.create("frac", 3, {(0, 1): ((2, Fraction(1, 3)),)})
         assert algebra_from_json(algebra_to_json(alg)) == alg
