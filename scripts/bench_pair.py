@@ -108,9 +108,12 @@ def compare(metrics: list[dict], base: list[dict], head: list[dict]) -> dict:
 
 
 def parse_workloads(text: str) -> list[str]:
+    """"bound" or "bound,solve"; a workload given twice is refused, since it would run each seed twice per side."""
     workloads = text.split(",")
     if not set(workloads) <= {"bound", "decompose", "solve"}:
         raise argparse.ArgumentTypeError(f"unknown workload in {text!r}")
+    if len(set(workloads)) != len(workloads):
+        raise argparse.ArgumentTypeError(f"{text!r} names a workload twice")
     return workloads
 
 

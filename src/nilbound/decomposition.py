@@ -35,7 +35,6 @@ from nilbound.linalg import (
     _square_rows,
     complement_extending,
     contains,
-    intersect,
     span,
 )
 from nilbound.liealg import Filtration, Representation, default_filtration, is_faithful, validate_representation
@@ -225,7 +224,9 @@ class VerificationReport:
 
 
 def verify_decomposition(dec: Decomposition) -> VerificationReport:
-    """Certify every structural claim about the partition, vectors and grid exactly."""
+    """Certify every structural claim about the partition, vectors and grid exactly.
+
+    Each T_(k,j).v_j is spanned once, for its dim check, every later column of row k and the moreover clause."""
     report = VerificationReport()
     chain = dec.chain
     n = chain.space_dim
@@ -251,20 +252,20 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
                 if not contains(dec.grid[(k, j)], dec.grid[(k + 1, j)]):
                     report.failures.append(f"T_({k + 1},{j}) is not contained in T_({k},{j})")
 
+    spans = {}  # (k, j) -> T_(k,j).v_j, spanned once
     for k in range(1, p + 1):
         for j in range(1, s[k - 1] + 1):
             ops = dec.grid[(k, j)].rows
-            if span(_images(ops, n, dec.vectors[j - 1]), n).dim != len(ops):
+            spans[(k, j)] = span(_images(ops, n, dec.vectors[j - 1]), n)
+            if spans[(k, j)].dim != len(ops):
                 report.failures.append(f"dim T_({k},{j}).v_{j} != dim T_({k},{j})")
             if j == 1:
                 continue
             whole = _column_span(ops, n)  # T_(k,j).V
             for i in range(1, j):
-                vi = dec.vectors[i - 1]
-                if any(map(any, _images(ops, n, vi))):
+                if any(map(any, _images(ops, n, dec.vectors[i - 1]))):
                     report.failures.append(f"T_({k},{j}).v_{i} != 0 for i = {i} < j = {j}")
-                target = span(_images(dec.grid[(k, i)].rows, n, vi), n)
-                if not contains(target, whole):
+                if not contains(spans[(k, i)], whole):
                     report.failures.append(f"T_({k},{j}).V is not inside T_({k},{i}).v_{i}")
 
     # moreover clause: needs nilpotent operators and [T_1, T_p] = 0
@@ -273,9 +274,8 @@ def verify_decomposition(dec: Decomposition) -> VerificationReport:
         any(map(any, _commutator(a, b, n))) for a in t1_ops for b in tp_ops
     ):
         report.moreover_checked = True
-        img = span(_images(dec.grid[(1, 1)].rows, n, dec.vectors[0]), n)
-        v0 = span(dec.vectors[: s[-1]], n)
-        if intersect(img, v0).dim != 0:
+        img, v0 = spans[(1, 1)], span(dec.vectors[: s[-1]], n)
+        if span(img.rows + v0.rows, n).dim != img.dim + v0.dim:  # they meet in 0 exactly when their sum is direct
             report.failures.append("T_(1,1).v_1 meets span{v_1..v_{s_p}} nontrivially")
     return report
 

@@ -56,7 +56,7 @@ class NotNilpotentError(ValueError):
 
 # brackets: {(i, j): ((k, coeff), ...)} with 0-based i < j, meaning
 # [x_i, x_j] = sum_k coeff * x_k
-Terms = tuple[tuple[int, Fraction], ...]
+Terms = tuple[tuple[int, int | Fraction], ...]  # an integer constant stays an int
 IntTerms = tuple[tuple[int, int], ...]
 
 
@@ -84,7 +84,7 @@ class LieAlgebra:
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"{_pair(i, j)} is out of range 1..{dim} or not i < j")
-            terms = tuple((k, rat(c)) for k, c in terms)
+            terms = tuple((k, _number(c)) for k, c in terms)
             for k, _ in terms:
                 if not 0 <= k < dim:
                     raise ValueError(f"{_pair(i, j)} names target index {k + 1}, out of range 1..{dim}")
@@ -428,7 +428,7 @@ def algebra_from_json(data: dict) -> LieAlgebra:
         if (i, j) in brackets:
             raise ValueError(f"{_pair(i, j)} is given twice")
         terms = (_require_list(term, "a term") for term in _require_list(entry["terms"], "terms"))
-        brackets[(i, j)] = tuple((_require_int(k, "a term index") - 1, rat(c)) for k, c in terms)
+        brackets[(i, j)] = tuple((_require_int(k, "a term index") - 1, _number(c)) for k, c in terms)
     basis = None
     if "basis" in data:
         basis = [_require_str(x, "a basis entry") for x in _require_list(data["basis"], "basis")]

@@ -334,26 +334,25 @@ def complement_extending(ambient: Subspace, inner: Subspace, must_contain: Subsp
     """Deterministic C with C (+) inner = ambient and must_contain <= C.
 
     Extends a basis of must_contain pivot-greedily by rows of the ambient
-    canonical basis.
+    canonical basis. Their sum is direct exactly when its dim adds up, and it ends
+    at ambient exactly when both lie there; only a failure runs the containment tests.
     """
     if not (ambient.ambient_dim == inner.ambient_dim == must_contain.ambient_dim):
         raise DimensionMismatch("ambient dimensions differ")
+    n = ambient.ambient_dim
+    current = subspace_sum(must_contain, inner)
+    if current.dim == must_contain.dim + inner.dim:
+        chosen = list(must_contain.rows)
+        for cand in ambient.rows:
+            if current.dim == ambient.dim:
+                break
+            if not current.contains_vector(cand):
+                chosen.append(cand)
+                current = span([*current.rows, cand], n)
+        if current == ambient:
+            return span(chosen, n)
     if not contains(ambient, inner):
         raise ValueError("inner is not contained in ambient")
     if not contains(ambient, must_contain):
         raise ValueError("must_contain is not contained in ambient")
-    if intersect(must_contain, inner).dim != 0:
-        raise ValueError("must_contain meets inner nontrivially")
-
-    n = ambient.ambient_dim
-    chosen = list(must_contain.rows)
-    current = subspace_sum(must_contain, inner)
-    target = ambient.dim
-    for cand in ambient.rows:
-        if current.dim == target:
-            break
-        if not current.contains_vector(cand):
-            chosen.append(cand)
-            current = span([*current.rows, cand], n)
-    assert current.dim == target, "ambient basis failed to complete the complement"
-    return span(chosen, n)
+    raise ValueError("must_contain meets inner nontrivially")

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import re
+from operator import add
 
 import pytest
 
@@ -7,11 +9,15 @@ from conftest import conjugated_dense_representation, frac_matrix, frac_product,
 from nilbound import decomposition
 from nilbound.decomposition import (
     AdaptedBasis,
+    Decomposition,
     FaithfulnessError,
     OperatorChain,
     SamplingBudgetExhausted,
+    VerificationReport,
+    _column_span,
     _conjugation,
     _image_dims,
+    _images,
     _rank_ceiling,
     build_adapted_basis,
     chain_from_representation,
@@ -25,7 +31,18 @@ from nilbound.decomposition import (
 )
 from nilbound.families import make_abelian, make_heisenberg, make_nabc, make_nap
 from nilbound.liealg import Representation, default_filtration
-from nilbound.linalg import Subspace, invert, span
+from nilbound.linalg import (
+    Subspace,
+    _commutator,
+    _int_matmul,
+    _nilpotent,
+    _sparse_rows,
+    _square_rows,
+    contains,
+    intersect,
+    invert,
+    span,
+)
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +150,136 @@ class TestRankCeiling:
             drawn = [tuple(rng.randint(-m, m) for _ in range(n)) for m in (1, 3, 1000) for _ in range(10)]
             for v in units + drawn:
                 assert all(d <= c for d, c in zip(_image_dims(chain.levels, n, v), ceiling))
+
+
+def reference_verify_decomposition(dec: Decomposition) -> VerificationReport:
+    """The certificate as it was before each T_(k,j).v_j was spanned once: T_(k,i).v_i is spanned
+    again for every later column j, T_(1,1).v_1 once more, and the moreover clause intersects."""
+    report = VerificationReport()
+    chain = dec.chain
+    n = chain.space_dim
+    amb = n * n
+    p = chain.p
+    s = dec.partition
+    if any(s[k] < s[k + 1] for k in range(p - 1)):
+        report.failures.append("partition is not weakly decreasing")
+    if span(dec.vectors, n).dim != len(dec.vectors):
+        report.failures.append("rank vectors are linearly dependent")
+    for k in range(1, p + 1):
+        pieces = [dec.grid[(k, j)] for j in range(1, s[k - 1] + 1)]
+        level = chain.levels[k - 1]
+        total = span([row for piece in pieces for row in piece.rows], amb)
+        if total != level or sum(piece.dim for piece in pieces) != level.dim:
+            report.failures.append(f"grid row {k} is not a direct-sum decomposition of T_{k}")
+        if k < p:
+            for j in range(1, s[k] + 1):
+                if not contains(dec.grid[(k, j)], dec.grid[(k + 1, j)]):
+                    report.failures.append(f"T_({k + 1},{j}) is not contained in T_({k},{j})")
+    for k in range(1, p + 1):
+        for j in range(1, s[k - 1] + 1):
+            ops = dec.grid[(k, j)].rows
+            if span(_images(ops, n, dec.vectors[j - 1]), n).dim != len(ops):
+                report.failures.append(f"dim T_({k},{j}).v_{j} != dim T_({k},{j})")
+            if j == 1:
+                continue
+            whole = _column_span(ops, n)
+            for i in range(1, j):
+                vi = dec.vectors[i - 1]
+                if any(map(any, _images(ops, n, vi))):
+                    report.failures.append(f"T_({k},{j}).v_{i} != 0 for i = {i} < j = {j}")
+                target = span(_images(dec.grid[(k, i)].rows, n, vi), n)
+                if not contains(target, whole):
+                    report.failures.append(f"T_({k},{j}).V is not inside T_({k},{i}).v_{i}")
+    t1_ops, tp_ops = ([_square_rows(op, n) for op in level.rows] for level in (chain.levels[0], chain.levels[-1]))
+    if all(_nilpotent(op, n) for op in t1_ops) and not any(
+        any(map(any, _commutator(a, b, n))) for a in t1_ops for b in tp_ops
+    ):
+        report.moreover_checked = True
+        img = span(_images(dec.grid[(1, 1)].rows, n, dec.vectors[0]), n)
+        v0 = span(dec.vectors[: s[-1]], n)
+        if intersect(img, v0).dim != 0:
+            report.failures.append("T_(1,1).v_1 meets span{v_1..v_{s_p}} nontrivially")
+    return report
+
+
+def random_subspace(level: Subspace, rng: random.Random) -> Subspace:
+    """The span of a random number, up to dim level, of small random combinations of the level's rows."""
+    combos = [[rng.randint(-3, 3) for _ in level.rows] for _ in range(rng.randint(0, level.dim))]
+    return span(_int_matmul(_sparse_rows(combos), _sparse_rows(level.rows), level.ambient_dim), level.ambient_dim)
+
+
+def tampered(dec: Decomposition, rng: random.Random):
+    """dec with one part replaced: a vector (by a random one or by a sum of two others), two vectors
+    swapped, a grid piece by a random subspace of its level, or the partition reversed, the grid
+    padded with random subspaces of the levels where the reversed partition names a missing piece."""
+    vectors, n = list(dec.vectors), dec.space_dim
+    j = rng.randrange(len(vectors))
+    others = vectors[:j] + vectors[j + 1:]
+    if others and rng.random() < 0.5:
+        vectors[j] = tuple(map(add, rng.choice(others), rng.choice(others)))
+    else:
+        vectors[j] = tuple(rng.randint(-5, 5) for _ in range(n))
+    yield dataclasses.replace(dec, vectors=tuple(vectors))
+    if len(dec.vectors) > 1:
+        i, j = sorted(rng.sample(range(len(dec.vectors)), 2))
+        vectors = list(dec.vectors)
+        vectors[i], vectors[j] = vectors[j], vectors[i]
+        yield dataclasses.replace(dec, vectors=tuple(vectors))
+    k, j = rng.choice(sorted(dec.grid))
+    yield dataclasses.replace(dec, grid={**dec.grid, (k, j): random_subspace(dec.chain.levels[k - 1], rng)})
+    grid = dict(dec.grid)
+    for k, level in enumerate(dec.chain.levels, 1):
+        for j in range(1, dec.partition[0] + 1):
+            if (k, j) not in grid:
+                grid[(k, j)] = random_subspace(level, rng)
+    yield dataclasses.replace(dec, partition=dec.partition[::-1], grid=grid)
+
+
+def certificate_outcome(verify, dec: Decomposition):
+    """(failures, moreover_checked) of the report, or the exception's type and message."""
+    try:
+        report = verify(dec)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report.failures, report.moreover_checked
+
+
+CERTIFICATE_FAILURES = (
+    "partition is not weakly decreasing",
+    "rank vectors are linearly dependent",
+    r"grid row \d+ is not a direct-sum decomposition of T_\d+",
+    r"T_\(\d+,\d+\) is not contained in T_\(\d+,\d+\)",
+    r"dim T_\(\d+,\d+\)\.v_\d+ != dim T_\(\d+,\d+\)",
+    r"T_\(\d+,\d+\)\.v_\d+ != 0 for i = \d+ < j = \d+",
+    r"T_\(\d+,\d+\)\.V is not inside T_\(\d+,\d+\)\.v_\d+",
+    r"T_\(1,1\)\.v_1 meets span\{v_1\.\.v_\{s_p\}\} nontrivially",
+)
+
+
+@pytest.fixture(scope="module")
+def certificate_outcomes():
+    """(name, outcome, reference outcome) for each decomposition of CEILING_REPS at seeds 0 and 1
+    and for each of its tamperings."""
+    rng = random.Random("tamper")
+    outcomes = []
+    for name, rep in CEILING_REPS.items():
+        for seed in (0, 1):
+            dec = decompose(rep, seed=seed)
+            for case in (dec, *tampered(dec, rng)):
+                outcomes.append((name, certificate_outcome(verify_decomposition, case),
+                                 certificate_outcome(reference_verify_decomposition, case)))
+    return outcomes
+
+
+class TestCertificateReference:
+    def test_same_failures_moreover_and_exceptions_as_the_reference(self, certificate_outcomes):
+        for name, outcome, reference in certificate_outcomes:
+            assert outcome == reference, name
+
+    def test_every_failure_is_reached(self, certificate_outcomes):
+        failures = {f for _, (found, _), _ in certificate_outcomes if isinstance(found, list) for f in found}
+        for pattern in CERTIFICATE_FAILURES:
+            assert any(re.fullmatch(pattern, f) for f in failures), pattern
 
 
 class TestDecompose:

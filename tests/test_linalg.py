@@ -99,6 +99,13 @@ class TestComplementExtending:
         with pytest.raises(ValueError, match="inner"):
             complement_extending(span([(1, 0, 0)]), span([(0, 1, 0)]), Subspace.zero(3))
 
+    def test_outside_ambient_names_inner_before_must_contain(self):
+        ambient = span([(1, 0, 0)])
+        with pytest.raises(ValueError, match="^must_contain is not contained in ambient$"):
+            complement_extending(ambient, Subspace.zero(3), span([(0, 0, 1)]))
+        with pytest.raises(ValueError, match="^inner is not contained in ambient$"):
+            complement_extending(ambient, span([(0, 1, 0)]), span([(0, 0, 1)]))
+
 
 def test_rat_str_round_trip():
     assert rat_str(rat("-3/2")) == "-3/2"
@@ -234,6 +241,11 @@ def ref_intersect(a, b):
     return ref_span(vecs)
 
 
+def ref_inside(outer, sub):
+    """True iff adding sub's basis to outer's raises no rank."""
+    return len(ref_rref(list(fraction_basis(outer)) + list(fraction_basis(sub)))[1]) == outer.dim
+
+
 def ref_complement(ambient, inner, must):
     chosen = list(fraction_basis(must))
     current = list(fraction_basis(must)) + list(fraction_basis(inner))
@@ -322,17 +334,26 @@ def test_intersect_and_complement_match_fraction_reference(data):
     b = span(integer_rows(data.draw(rational_rows(data.draw(st.integers(0, 6)), n))), n)
     meet = intersect(a, b)
     assert fraction_basis(meet) == ref_intersect(a, b)
-    # inner and must_contain inside a, from combinations of its basis
-    def inside(k):
+    # inner and must_contain inside a, from combinations of its basis, or from all of k^n
+    def draw_sub(k):
+        if data.draw(st.booleans()):
+            return span(integer_rows(data.draw(rational_rows(k, n))), n)
         combos = [[sum(c * v[i] for c, v in zip(cs, fraction_basis(a))) for i in range(n)]
                   for cs in data.draw(rational_rows(k, a.dim))] if a.dim else []
         return span(integer_rows(combos), n)
 
-    inner, must = inside(data.draw(st.integers(0, 3))), inside(data.draw(st.integers(0, 2)))
-    if ref_intersect(must, inner):
-        with pytest.raises(ValueError, match="meets inner"):
-            complement_extending(a, inner, must)
-        return
+    inner, must = draw_sub(data.draw(st.integers(0, 3))), draw_sub(data.draw(st.integers(0, 2)))
+    # the first failing precondition names the error: inner, then must_contain, then the meet
+    for failed, message in (
+        (not ref_inside(a, inner), "inner is not contained in ambient"),
+        (not ref_inside(a, must), "must_contain is not contained in ambient"),
+        (bool(ref_intersect(must, inner)), "must_contain meets inner nontrivially"),
+    ):
+        if failed:
+            with pytest.raises(ValueError) as err:
+                complement_extending(a, inner, must)
+            assert str(err.value) == message
+            return
     comp = complement_extending(a, inner, must)
     assert fraction_basis(comp) == ref_complement(a, inner, must)
 

@@ -81,3 +81,13 @@ def test_bench_pair_seeds_make_one_pair_each():
     for text in ("", "5-3", "1,1", "1-3,2", "1,,2", "3-", "a", "1-b"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_seeds(text)
+
+
+def test_bench_pair_workloads_run_once_each():
+    parse_workloads = load_script("bench_pair").parse_workloads
+    assert parse_workloads("bound") == ["bound"]
+    assert parse_workloads("bound,decompose,solve") == ["bound", "decompose", "solve"]
+    # a repeated workload would run every seed twice per side while the record still counts one pair per seed
+    for text in ("bound,bound", "solve,bound,solve", "", "bound,", "fast"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_workloads(text)
